@@ -332,13 +332,6 @@ impl SetAssocCache {
         self.stamp.iter().filter(|s| **s == gen).count()
     }
 
-    /// Raw flat state for [`crate::batch::BatchedCache::broadcast`]: the
-    /// tag arena, validity stamps, current generation, and replacement
-    /// metadata, in `[set * ways + way]` layout.
-    pub(crate) fn flat_parts(&self) -> (&[u64], &[u32], u32, &FlatPolicy, CacheStats) {
-        (&self.tags, &self.stamp, self.gen, &self.policy, self.stats)
-    }
-
     /// Diagnostic view of a set: each way's line and replacement metadata.
     ///
     /// # Panics

@@ -28,7 +28,6 @@
 //! assert!(l1.access(0x1000 >> 6).hit);
 //! ```
 
-pub mod batch;
 mod cache;
 mod config;
 pub mod evset;
@@ -39,7 +38,6 @@ pub mod reference;
 pub mod replacement;
 mod stats;
 
-pub use batch::BatchedCache;
 pub use cache::{AccessOutcome, SetAssocCache, WayView};
 pub use config::{CacheConfig, HierarchyConfig, LatencyConfig};
 pub use hierarchy::{

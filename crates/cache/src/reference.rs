@@ -23,9 +23,7 @@ pub struct ReferenceCache {
     config: CacheConfig,
     sets: Vec<RefSet>,
     stats: CacheStats,
-    /// Scratch validity vector for `choose_insert_way` (reused per fill so
-    /// the reference stays an honest stand-in for the pre-flat storage in
-    /// `sia bench`'s boxed-vs-flat comparison).
+    /// Scratch validity vector for `choose_insert_way`, reused per fill.
     valid_scratch: Vec<bool>,
 }
 

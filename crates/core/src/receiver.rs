@@ -36,9 +36,9 @@
 //!   (paper step 5: "Cases where both accesses are cache misses ... are
 //!   ignored").
 //!
-//! The paper's Figure 8 EVS1/EVS2 variant is reproduced (and its decode
-//! rule corrected) in `si-bench`'s `fig08_qlru_states` binary; this
-//! protocol is the one validated end-to-end by the unit tests below.
+//! The paper's Figure 8 EVS1/EVS2 variant is reproduced for comparison by
+//! the harness's `fig08` experiment (`sia run fig08`); this protocol is
+//! the one validated end-to-end by the unit tests below.
 
 use si_cache::HitLevel;
 use si_cpu::{AgentOp, Machine};

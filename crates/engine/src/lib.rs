@@ -1,6 +1,6 @@
 //! # `si-engine` — the content-addressed execution engine
 //!
-//! Every `sia` verb (`run`, `sweep`, `attack`, `bench`) is, underneath,
+//! Every `sia` verb (`run`, `sweep`, `attack`, `scan`) is, underneath,
 //! the same shape of work: a grid flattened into independent **units**,
 //! each a pure function of its seeded spec. This crate owns that shape:
 //!
@@ -9,7 +9,7 @@
 //! * [`scheduler`] — a chunked work-stealing executor with preallocated
 //!   per-index result slots, so output ordering is structural and
 //!   1-thread vs N-thread runs are byte-identical by construction;
-//! * [`cache::UnitCache`] — an on-disk content-addressed store keyed by
+//! * [`store::PackStore`] — an on-disk content-addressed store keyed by
 //!   `hash(canonical(UnitSpec), code_epoch)`, letting a re-run execute
 //!   only the units whose spec changed and splice cached outcomes
 //!   in-place.
@@ -31,7 +31,6 @@
 //! forgotten.
 
 pub mod artifact;
-pub mod cache;
 pub mod digest;
 pub mod scheduler;
 pub mod store;
@@ -41,8 +40,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 pub use artifact::{ArtifactCache, ArtifactStats};
-pub use cache::{CacheStats, UnitCache};
-pub use store::PackStore;
+pub use store::{CacheStats, PackStore};
 pub use unit::UnitSpec;
 
 /// How a batch of units was satisfied.

@@ -18,7 +18,7 @@ use crate::digest::Digest;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitSpec {
     /// The verb family the unit belongs to (`"sweep"`, `"attack"`,
-    /// `"experiment"`, `"bench"`).
+    /// `"experiment"`, `"scan"`).
     pub kind: &'static str,
     /// The cell axes, as one canonical `key=value` line fragment (scheme,
     /// workload, geometry, noise, … — whatever identifies the cell within

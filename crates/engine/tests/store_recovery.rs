@@ -1,5 +1,5 @@
 //! Corruption-recovery property test for the packed store, plus the
-//! legacy-cache migration guarantee.
+//! contract for directories left by the retired one-file-per-unit layout.
 //!
 //! The property: **whatever bytes rot on disk, the store never serves a
 //! corrupt payload.** Every record carries a checksum and its full
@@ -10,7 +10,7 @@
 //! cold-run outcomes.
 
 use rand::{Rng, SeedableRng, StdRng};
-use si_engine::{Engine, PackStore, UnitCache, UnitSpec};
+use si_engine::{Engine, PackStore, UnitSpec};
 
 const EPOCH: u64 = 1;
 
@@ -50,7 +50,8 @@ fn populate(dir: &std::path::Path, units: &[UnitSpec]) {
     store.flush().expect("flush");
 }
 
-/// Every pack file under the store, sorted for deterministic damage.
+/// Every file in the store's shard directories, sorted for deterministic
+/// damage.
 fn pack_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     let mut files = Vec::new();
     if let Ok(shards) = std::fs::read_dir(dir) {
@@ -171,19 +172,34 @@ fn garbage_segments_are_ignored() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The migration guarantee: a legacy one-file-per-unit cache directory
-/// imports into the packed store at open, and a warm engine rerun over
-/// it executes **zero** units. The loose `.unit` files are gone after.
+/// The retired one-file-per-unit layout is not migrated: the store is a
+/// regenerable cache, so hand-made `<aa>/<addr>.unit` files are never
+/// indexed, an engine run over them executes every unit and returns the
+/// same values, and `clear` still removes them.
 #[test]
-fn legacy_cache_dir_migrates_with_a_zero_execution_warm_rerun() {
-    let dir = temp_dir("migrate");
-    let units = specs(20);
-    let legacy = UnitCache::new(&dir);
+fn unit_files_are_ignored_recomputed_and_cleared() {
+    let dir = temp_dir("unit-files");
+    let units = specs(6);
     for spec in &units {
-        legacy
-            .store(spec, EPOCH, &outcome(spec).to_string())
-            .expect("legacy store");
+        let address = spec.address(EPOCH);
+        let shard = dir.join(&address[..2]);
+        std::fs::create_dir_all(&shard).expect("shard dir");
+        std::fs::write(
+            shard.join(format!("{}.unit", &address[2..])),
+            format!("{}\n{}", spec.canonical(EPOCH), outcome(spec)),
+        )
+        .expect("write .unit file");
     }
+    let unit_files = || {
+        pack_files(&dir)
+            .into_iter()
+            .filter(|p| p.extension().is_some_and(|x| x == "unit"))
+            .count()
+    };
+    assert_eq!(unit_files(), units.len());
+
+    let store = PackStore::open(&dir);
+    assert!(store.is_empty(), ".unit files must not be indexed");
 
     let engine = Engine::with_cache(2, EPOCH, &dir);
     let (values, stats) = engine.run_units(
@@ -193,17 +209,10 @@ fn legacy_cache_dir_migrates_with_a_zero_execution_warm_rerun() {
         |p| p.parse().ok(),
     );
     assert_eq!(values, units.iter().map(outcome).collect::<Vec<_>>());
-    assert_eq!(stats.executed, 0, "migrated store must serve everything");
-    assert_eq!(stats.cached, units.len());
+    assert_eq!(stats.executed, units.len(), "every unit recomputes");
+    assert_eq!(stats.cached, 0);
 
-    // The loose files were re-packed and deleted.
-    assert_eq!(
-        legacy.stats(EPOCH).expect("stats").entries(),
-        0,
-        "legacy .unit files must be gone after import"
-    );
-    // And the migration is durable: a fresh process (store) still
-    // serves everything.
-    assert_eq!(PackStore::open(&dir).len(), units.len());
+    PackStore::open(&dir).clear().expect("clear");
+    assert_eq!(unit_files(), 0, "clear removes stray .unit files");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,8 +11,6 @@
 //! sia serve                         # long-running grid daemon (HTTP)
 //! sia cache stats                   # content-addressed unit store
 //! sia report results/               # results/*.json -> markdown tables
-//! sia bench                         # microbenchmarks -> BENCH_baseline.json
-//! sia bench --against BENCH_baseline.json   # perf-regression gate
 //! ```
 //!
 //! Each run writes one validated JSON document per experiment to the
@@ -23,7 +21,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use si_engine::{ArtifactCache, PackStore};
-use si_harness::attack::{run_attack_grid, run_attack_grid_batched, AttackGrid, ATTACK_GRID_NAMES};
+use si_harness::attack::{run_attack_grid, AttackGrid, ATTACK_GRID_NAMES};
 use si_harness::json::{parse, Json};
 use si_harness::render::{render_report, splice_report, REPORT_BEGIN, REPORT_END};
 use si_harness::scan::{run_scan, ScanJob};
@@ -46,7 +44,6 @@ USAGE:
     sia serve [SERVE OPTIONS]
     sia cache stats|clear [--dir <DIR>]
     sia report [PATH...] [REPORT OPTIONS]
-    sia bench [--quick] [--out <FILE>] [--against <FILE>]
     sia trace record|replay|info|example [TRACE OPTIONS]
 
 RUN OPTIONS:
@@ -96,10 +93,6 @@ ATTACK OPTIONS:
                        of forking the per-cell machine checkpoint; output
                        is byte-identical either way (the differential CI
                        job diffs the two to prove it)
-    --batch <N>        batched trial mode: dispatch trials in per-cell
-                       batches of N through the struct-of-arrays executor
-                       (no unit engine; incompatible with --cache); output
-                       is byte-identical to the engine path
     --threads/--seed   as for run
     --cache/--cache-dir  as for sweep
     --out <FILE>       output file (default: results/attack-<grid>.json)
@@ -133,8 +126,6 @@ SERVE OPTIONS:
 
 CACHE OPTIONS:
     stats              entry count and total bytes of the packed unit store
-                       (opening also migrates legacy one-file-per-unit
-                       entries into pack segments)
     clear              delete every stored unit outcome
     --dir <DIR>        store location (default: results/.cache)
 
@@ -146,13 +137,6 @@ REPORT OPTIONS:
                        of FILE (e.g. EXPERIMENTS.md)
     --check <FILE>     verify FILE's marked region matches the report;
                        exit non-zero on drift
-
-BENCH OPTIONS:
-    --quick            fewer samples (CI smoke); same schema and bench set
-    --out <FILE>       output file (default: BENCH_baseline.json)
-    --against <FILE>   compare this run's speedup ratios against a baseline
-                       snapshot: exit non-zero when any ratio regressed by
-                       more than 25%, warn beyond 10%
 
 TRACE OPTIONS (see docs/TRACE_FORMAT.md for the .sit wire format):
     record --workload <KERNEL>   record a kernel run into a .sit trace
@@ -440,7 +424,6 @@ struct GridArgs {
     wall_time: bool,
     no_checkpoint: bool,
     no_artifact_cache: bool,
-    batch: Option<usize>,
 }
 
 /// Parses the sweep/attack option set. `verb` labels errors;
@@ -465,7 +448,6 @@ fn parse_grid_args(
         wall_time: true,
         no_checkpoint: false,
         no_artifact_cache: false,
-        batch: None,
     };
     let attack_verb = verb == "attack";
     let sweep_verb = verb == "sweep";
@@ -499,15 +481,6 @@ fn parse_grid_args(
             }
             "--no-checkpoint" if attack_verb => args.no_checkpoint = true,
             "--no-artifact-cache" if sweep_verb => args.no_artifact_cache = true,
-            "--batch" if attack_verb => {
-                let n: usize = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if n == 0 {
-                    return Err("--batch needs a batch size of at least 1".into());
-                }
-                args.batch = Some(n);
-            }
             "--threads" => args.threads = parse_threads(&value("--threads")?)?,
             "--seed" => args.seed = parse_seed(&value("--seed")?)?,
             "--out" => args.out = Some(value("--out")?),
@@ -604,18 +577,12 @@ fn cmd_attack(argv: &[String]) -> Result<ExitCode, String> {
         grid.trials = t;
     }
     grid.disable_checkpoint = args.no_checkpoint;
-    if args.batch.is_some() && args.cache.enabled {
-        return Err("--batch bypasses the unit engine and cannot be combined with --cache".into());
-    }
     let path = args
         .out
         .clone()
         .unwrap_or_else(|| format!("results/attack-{}.json", args.grid_name));
     let start = Instant::now();
-    let (envelope, stats) = match args.batch {
-        Some(batch) => run_attack_grid_batched(&grid, args.seed, args.threads, batch)?,
-        None => run_attack_grid(&grid, args.seed, &args.cache.engine(args.threads))?,
-    };
+    let (envelope, stats) = run_attack_grid(&grid, args.seed, &args.cache.engine(args.threads))?;
     emit_grid_doc(
         "attack",
         &args.grid_name,
@@ -651,7 +618,6 @@ fn cmd_scan(argv: &[String]) -> Result<ExitCode, String> {
         wall_time: true,
         no_checkpoint: false,
         no_artifact_cache: false,
-        batch: None,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -913,130 +879,6 @@ fn cmd_report(argv: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_bench(argv: &[String]) -> ExitCode {
-    let mut quick = false;
-    let mut out = si_harness::bench::BENCH_DEFAULT_PATH.to_owned();
-    let mut against: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| match it.next() {
-            Some(v) => Ok(v.clone()),
-            None => Err(format!("{name} needs a value")),
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match value("--out") {
-                Ok(v) => out = v,
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--against" => match value("--against") {
-                Ok(v) => against = Some(v),
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("error: unknown bench option '{other}'\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Load the baseline *before* running or writing anything: with the
-    // default --out, the output path IS the baseline file, and reading
-    // it afterwards would compare the run against itself (and clobber
-    // the snapshot it was meant to be gated by).
-    let baseline = match &against {
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|text| parse(&text).map_err(|e| format!("{path}: {e}")))
-        {
-            Ok(doc) => Some(doc),
-            Err(e) => {
-                eprintln!("bench --against  FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let start = Instant::now();
-    let doc = si_harness::bench::run_benches(quick);
-    let text = doc.to_pretty();
-    if let Err(e) = parse(&text) {
-        eprintln!("bench            FAILED: emitted malformed JSON: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("bench            FAILED: writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let speedups = doc
-        .get("speedups")
-        .map(|s| s.to_compact())
-        .unwrap_or_default();
-    println!(
-        "bench            ok  {:>7}ms  {}  -> {}",
-        start.elapsed().as_millis(),
-        speedups,
-        out
-    );
-    if let (Some(baseline), Some(path)) = (baseline, against) {
-        return bench_regression_gate(&doc, &baseline, &path);
-    }
-    ExitCode::SUCCESS
-}
-
-/// The `sia bench --against` perf-regression gate: compares this run's
-/// speedup ratios against the (pre-loaded) baseline snapshot; warns
-/// past 10% regression, fails (non-zero exit) past 25% or on missing
-/// ratios.
-fn bench_regression_gate(current: &Json, baseline: &Json, baseline_path: &str) -> ExitCode {
-    match si_harness::bench::compare_speedups(current, baseline) {
-        Ok(cmp) => {
-            for w in &cmp.warnings {
-                eprintln!("bench --against  WARN: {w}");
-            }
-            for f in &cmp.failures {
-                eprintln!("bench --against  FAIL: {f}");
-            }
-            // Full tier diff whenever the tier sets drifted at all, so
-            // the fix (regenerate the baseline, or restore the tier) is
-            // obvious from the log alone.
-            if !cmp.missing_tiers.is_empty() || !cmp.new_tiers.is_empty() {
-                eprintln!("bench --against  tier diff vs {baseline_path}:");
-                for id in &cmp.missing_tiers {
-                    eprintln!("bench --against    - {id} (baseline only)");
-                }
-                for id in &cmp.new_tiers {
-                    eprintln!("bench --against    + {id} (this build only; regenerate the baseline to gate it)");
-                }
-            }
-            if cmp.passed() {
-                println!(
-                    "bench --against  ok  {} ratios within 25% of {baseline_path} ({} warnings)",
-                    cmp.checked,
-                    cmp.warnings.len()
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "bench --against  FAILED: {} of {} ratios regressed more than 25% vs {baseline_path}",
-                    cmp.failures.len(),
-                    cmp.checked.max(cmp.failures.len())
-                );
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("bench --against  FAILED: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `sia trace` — record, inspect, and replay `.sit` traces.
 fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
     use si_cpu::{GeometryPreset, MachineConfig, NoisePreset, PredictorPreset};
@@ -1249,7 +1091,6 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("list") => cmd_list(),
-        Some("bench") => cmd_bench(&argv[1..]),
         Some("trace") => cmd_trace(&argv[1..]).unwrap_or_else(|e| {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::FAILURE

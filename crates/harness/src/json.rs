@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// **v2** (current): every document carries a `kind` discriminator right
 /// after `schema_version` — `"experiment"` (one `sia run` result),
 /// `"sweep"` (a `sia sweep` grid), `"attack"` (a `sia attack` grid), or
-/// `"bench"` (the `sia bench` snapshot) — so downstream consumers
+/// `"scan"` (a `sia scan` corpus) — so downstream consumers
 /// (`sia report`, CI validators) dispatch without guessing from
 /// filenames. Experiment, sweep, and attack documents share the
 /// `config` / `result` / `summary` envelope.
@@ -34,8 +34,6 @@ pub enum DocKind {
     Attack,
     /// A static gadget scan with dynamic confirmation (`sia scan`).
     Scan,
-    /// A microbenchmark snapshot (`sia bench`).
-    Bench,
 }
 
 impl DocKind {
@@ -46,7 +44,6 @@ impl DocKind {
             DocKind::Sweep => "sweep",
             DocKind::Attack => "attack",
             DocKind::Scan => "scan",
-            DocKind::Bench => "bench",
         }
     }
 }
@@ -61,7 +58,6 @@ pub fn doc_kind(doc: &Json) -> Option<DocKind> {
             "sweep" => Some(DocKind::Sweep),
             "attack" => Some(DocKind::Attack),
             "scan" => Some(DocKind::Scan),
-            "bench" => Some(DocKind::Bench),
             _ => None,
         },
         _ => doc.get("experiment").map(|_| DocKind::Experiment),

@@ -52,7 +52,6 @@
 //! ```
 
 pub mod attack;
-pub mod bench;
 pub mod exec;
 pub mod experiments;
 pub mod json;

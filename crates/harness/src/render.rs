@@ -1,8 +1,7 @@
 //! Text rendering for the harness's reporting layer: the timeline
-//! formatting helpers (moved here from `si-bench`'s library) plus the
-//! deterministic markdown renderer behind `sia report`, which turns any
-//! `results/*.json` document — experiment, sweep, or bench — into the
-//! generated tables of EXPERIMENTS.md.
+//! formatting helpers plus the deterministic markdown renderer behind
+//! `sia report`, which turns any `results/*.json` document — experiment,
+//! sweep, attack, or scan — into the generated tables of EXPERIMENTS.md.
 
 use si_cpu::{StallReason, TraceEvent};
 
@@ -56,7 +55,6 @@ pub fn render_doc(stem: &str, doc: &Json) -> Result<String, String> {
         Some(DocKind::Sweep) => Ok(render_sweep(stem, doc)),
         Some(DocKind::Attack) => Ok(render_attack(stem, doc)),
         Some(DocKind::Scan) => Ok(render_scan(stem, doc)),
-        Some(DocKind::Bench) => Ok(render_bench(stem, doc)),
         None => Err(format!("{stem}: not a harness result document")),
     }
 }
@@ -454,27 +452,6 @@ fn render_scan(stem: &str, doc: &Json) -> String {
     out
 }
 
-/// Bench documents: the derived speedup ratios only (raw wall-clock
-/// numbers are machine-dependent and stay out of generated docs).
-fn render_bench(stem: &str, doc: &Json) -> String {
-    let mut out = format!("### `{stem}` — microbenchmark snapshot\n\n");
-    let rows: Vec<Vec<String>> = match doc.get("speedups") {
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .filter_map(|(k, v)| match v {
-                Json::F64(r) => Some(vec![format!("`{k}`"), format!("{r:.2}×")]),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    out.push_str(&markdown_table(
-        &["speedup".to_owned(), "ratio".to_owned()],
-        &rows,
-    ));
-    out
-}
-
 /// Assembles the full generated report from `(stem, document)` pairs —
 /// the exact text spliced between [`REPORT_BEGIN`] and [`REPORT_END`].
 /// Sections are emitted in the given order (callers sort by stem), so
@@ -604,9 +581,19 @@ mod tests {
 
     #[test]
     fn unknown_documents_are_an_error_not_a_silent_skip() {
-        let doc = obj([("hello", Json::from("world"))]);
-        assert!(render_doc("mystery", &doc).is_err());
-        assert!(render_report(&[("mystery".to_owned(), doc)]).is_err());
+        let mystery = obj([("hello", Json::from("world"))]);
+        // A snapshot from the retired `sia bench` verb is no longer a
+        // result document: `sia report BENCH_ci.json` must name it.
+        let bench = obj([
+            ("schema_version", Json::from(2u64)),
+            ("kind", Json::from("bench")),
+            ("speedups", obj([("flat_over_boxed", Json::from(1.5))])),
+        ]);
+        for (stem, doc) in [("mystery", mystery), ("BENCH_ci", bench)] {
+            let err = render_doc(stem, &doc).expect_err("unknown kind renders");
+            assert!(err.contains(stem), "error names the document: {err}");
+            assert!(render_report(&[(stem.to_owned(), doc)]).is_err());
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   interference is a *delay*, not a starvation — exactly the paper's
 //!   alternating `f'1, f1, f'2, f2, ...` interleaving.
 
+use std::collections::VecDeque;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -29,9 +31,7 @@ use crate::memory::Memory;
 use crate::predictor::Predictor;
 use crate::rob::{fresh_rat, EntryState, Rat, RegTag, Rob, RobEntry};
 use crate::rs::{Operand, ReservationStation, RsEntry};
-use crate::scheme::{
-    LoadPlan, SafeAction, SafetyFlags, SafetyView, SpeculationScheme, UnsafeLoadCtx,
-};
+use crate::scheme::{LoadPlan, SafeAction, SafetyView, SpeculationScheme, UnsafeLoadCtx};
 use crate::stats::CoreStats;
 use crate::trace::{Trace, TraceEvent};
 use crate::MshrFile;
@@ -74,6 +74,11 @@ pub struct Core {
     rs: ReservationStation,
     exec: ExecUnits,
     rat: Rat,
+    /// RAT snapshots `(branch seq, RAT)` taken as each branch dispatched,
+    /// oldest first: one per in-flight branch whose squash has not been
+    /// handled. The ring keeps its capacity, so a branch copies the RAT
+    /// without allocating.
+    rat_checkpoints: VecDeque<(u64, Rat)>,
     arch_regs: [u64; NUM_REGS],
     mshrs: MshrFile,
     pending_loads: Vec<u64>,
@@ -84,17 +89,18 @@ pub struct Core {
     wb_queue: Vec<(u64, ExecPayload)>,
     scheme: Box<dyn SpeculationScheme>,
     halted: bool,
+    /// Set by writeback when a branch resolves mispredicted; the squash
+    /// later in the same cycle clears it, so it is never set between
+    /// ticks.
+    squash_pending: bool,
     next_seq: u64,
     stats: CoreStats,
     trace: Trace,
-    /// Reused allocation for per-cycle [`SafetyView`] snapshots.
-    view_scratch: Vec<SafetyFlags>,
-    /// Reused allocation for the issue stage's ready-candidate list.
-    issue_scratch: Vec<(u64, FuClass)>,
+    /// Reused allocation for the issue stage's ready candidates
+    /// `(seq, RS index)`.
+    issue_scratch: Vec<(u64, usize)>,
     /// Reused allocation for the completion sweep.
     done_scratch: Vec<InFlight>,
-    /// Reused allocation for the safe-promotion sweep.
-    seq_scratch: Vec<u64>,
 }
 
 impl Clone for Core {
@@ -115,7 +121,8 @@ impl Clone for Core {
             rob: self.rob.clone(),
             rs: self.rs.clone(),
             exec: self.exec.clone(),
-            rat: self.rat.clone(),
+            rat: self.rat,
+            rat_checkpoints: self.rat_checkpoints.clone(),
             arch_regs: self.arch_regs,
             mshrs: self.mshrs.clone(),
             pending_loads: self.pending_loads.clone(),
@@ -124,13 +131,12 @@ impl Clone for Core {
             wb_queue: self.wb_queue.clone(),
             scheme: self.scheme.boxed_clone(),
             halted: self.halted,
+            squash_pending: self.squash_pending,
             next_seq: self.next_seq,
             stats: self.stats,
             trace: self.trace.clone(),
-            view_scratch: self.view_scratch.clone(),
             issue_scratch: self.issue_scratch.clone(),
             done_scratch: self.done_scratch.clone(),
-            seq_scratch: self.seq_scratch.clone(),
         }
     }
 }
@@ -201,6 +207,7 @@ impl Core {
             rs: ReservationStation::new(config.rs_size),
             exec: ExecUnits::new(&config.fu),
             rat: fresh_rat(),
+            rat_checkpoints: VecDeque::new(),
             arch_regs: [0; NUM_REGS],
             mshrs: MshrFile::new(config.mshrs),
             pending_loads: Vec::new(),
@@ -209,13 +216,12 @@ impl Core {
             wb_queue: Vec::new(),
             scheme,
             halted: false,
+            squash_pending: false,
             next_seq: 0,
             stats: CoreStats::default(),
             trace: Trace::new(),
-            view_scratch: Vec::new(),
             issue_scratch: Vec::new(),
             done_scratch: Vec::new(),
-            seq_scratch: Vec::new(),
             program,
             config,
         }
@@ -321,16 +327,25 @@ impl Core {
         }
         self.stats.cycles += 1;
         self.exec.begin_cycle();
+        debug_assert!(
+            self.rat_checkpoints.iter().map(|&(seq, _)| seq).eq(self
+                .rob
+                .iter()
+                .filter(|e| e.is_branch() && !e.squash_handled)
+                .map(|e| e.seq)),
+            "RAT checkpoints differ from the unsquashed branches in the ROB"
+        );
 
         self.collect_completions(now);
         self.retire(now, ctx);
         if self.halted {
             return;
         }
-        let view = self.make_view();
+        // Issue and the LSU change no safety flag (they only move entries
+        // from waiting to issued), so one summary serves both.
+        let view = self.rob.safety_view();
         self.issue(now, &view);
         self.process_loads(now, ctx, &view);
-        self.recycle_view(view);
         self.writeback(now);
         self.handle_squash(now, ctx);
         self.promote_safe(now, ctx);
@@ -356,7 +371,10 @@ impl Core {
     /// such event; the machine additionally bounds the skip by scheduled
     /// agent ops and background-noise cycles, which are the only external
     /// inputs.
-    pub(crate) fn quiet_plan(&self, now: u64) -> Option<QuietPlan> {
+    ///
+    /// Takes `&mut self` only to settle the ROB's safety-summary cursors
+    /// ([`Rob::safety_view`]), which changes no observable state.
+    pub(crate) fn quiet_plan(&mut self, now: u64) -> Option<QuietPlan> {
         let mut plan = QuietPlan {
             until: u64::MAX,
             icache_stall: false,
@@ -426,14 +444,9 @@ impl Core {
                 return None;
             }
         }
-        // Phase 6 (squash) acts on any unhandled resolved mispredict.
-        if self
-            .rob
-            .iter()
-            .any(|e| e.mispredicted && e.resolved && !e.squash_handled)
-        {
-            return None;
-        }
+        // Phase 6 (squash) acts on an unhandled resolved mispredict, and
+        // writeback's squash runs in the same tick, so none is left over.
+        debug_assert!(!self.squash_pending, "squash left pending past its tick");
         // Phase 7 (safe promotion) acts iff a deferred load is safe now.
         // Safety can only change through events (which bound the skip), so
         // checking once covers the whole window.
@@ -442,7 +455,7 @@ impl Core {
             .iter()
             .any(|e| e.delayed || e.pending_safe_action.is_some())
         {
-            let view = self.safety_view();
+            let view = self.rob.safety_view();
             for (pos, e) in self.rob.iter().enumerate() {
                 let actionable =
                     e.delayed || (e.pending_safe_action.is_some() && e.state == EntryState::Done);
@@ -504,7 +517,7 @@ impl Core {
         let mut done = std::mem::take(&mut self.done_scratch);
         self.exec.drain_done_into(now, &mut done);
         if hold && !done.is_empty() {
-            let view = self.make_view();
+            let view = self.rob.safety_view();
             for op in done.drain(..) {
                 if op.non_pipelined && !self.op_is_safe(&view, op.seq) {
                     // §5.4 rule 1: the unit (and the result) are held while
@@ -515,7 +528,6 @@ impl Core {
                     self.wb_queue.push((op.seq, op.payload));
                 }
             }
-            self.recycle_view(view);
         } else {
             for op in done.drain(..) {
                 self.wb_queue.push((op.seq, op.payload));
@@ -535,7 +547,7 @@ impl Core {
     }
 
     fn op_is_safe(&self, view: &SafetyView, seq: u64) -> bool {
-        match view.position_of(seq) {
+        match self.rob.position(seq) {
             Some(pos) => self.scheme.is_safe(view, pos),
             None => true, // squashed or retired: nothing to protect
         }
@@ -575,7 +587,16 @@ impl Core {
             // Apply any deferred cache action that never found an earlier
             // safe point (at the head everything is safe).
             if let Some(action) = entry.pending_safe_action.take() {
-                self.apply_safe_action(now, ctx, &entry, action);
+                self.apply_safe_action(now, ctx, entry.addr, action);
+            }
+            // A retiring branch takes its RAT checkpoint along, unless its
+            // own squash already spent it.
+            if self
+                .rat_checkpoints
+                .front()
+                .is_some_and(|&(seq, _)| seq == entry.seq)
+            {
+                self.rat_checkpoints.pop_front();
             }
             match entry.instr.opcode {
                 Opcode::Store => {
@@ -624,47 +645,21 @@ impl Core {
     // Phase 3: issue (age-ordered, before writeback)
     // ------------------------------------------------------------------
 
-    fn entry_flags(e: &RobEntry) -> SafetyFlags {
-        SafetyFlags {
-            seq: e.seq,
-            unresolved_branch: e.is_branch() && !e.resolved,
-            load_incomplete: e.is_load() && e.state != EntryState::Done,
-            store_addr_unknown: e.is_store_like() && e.state != EntryState::Done,
-            fence: e.instr.opcode == Opcode::Fence,
-        }
-    }
-
-    fn safety_view(&self) -> SafetyView {
-        SafetyView::new(self.rob.iter().map(Self::entry_flags).collect())
-    }
-
-    /// [`safety_view`](Core::safety_view) into the reused scratch
-    /// allocation; pair with [`recycle_view`](Core::recycle_view).
-    fn make_view(&mut self) -> SafetyView {
-        let mut flags = std::mem::take(&mut self.view_scratch);
-        flags.clear();
-        flags.extend(self.rob.iter().map(Self::entry_flags));
-        SafetyView::new(flags)
-    }
-
-    fn recycle_view(&mut self, view: SafetyView) {
-        self.view_scratch = view.into_flags();
-    }
-
     fn issue(&mut self, now: u64, view: &SafetyView) {
         let mut candidates = std::mem::take(&mut self.issue_scratch);
         candidates.clear();
         candidates.extend(
             self.rs
                 .iter()
-                .filter(|e| !e.issued && e.ready())
-                .map(|e| (e.seq, e.fu)),
+                .enumerate()
+                .filter(|(_, e)| !e.issued && e.ready())
+                .map(|(idx, e)| (e.seq, idx)),
         );
-        candidates.sort_by_key(|(seq, _)| *seq);
+        candidates.sort_unstable_by_key(|&(seq, _)| seq);
         let strict_age = self.scheme.strict_age_priority();
-        let hold = self.scheme.holds_resources_until_safe();
-        for &(seq, class) in &candidates {
-            let Some(pos) = view.position_of(seq) else {
+        let mut issued_any = false;
+        for &(seq, idx) in &candidates {
+            let Some(pos) = self.rob.position(seq) else {
                 continue;
             };
             if view.fence_blocked(pos) {
@@ -674,6 +669,7 @@ impl Core {
                 self.stats.defense_issue_stalls += 1;
                 continue;
             }
+            let class = self.rs.get(idx).fu;
             let timing = self.config.fu.timing(class);
             if strict_age && !timing.pipelined && self.rs.older_unissued_for(class, seq) {
                 continue; // §5.4 rule 2: reserve the unit for the older op
@@ -684,26 +680,25 @@ impl Core {
             };
             let mut operands = [0u64; 2];
             let mut n_operands = 0;
-            for o in &self
-                .rs
-                .iter()
-                .find(|e| e.seq == seq)
-                .expect("candidate exists")
-                .operands
-            {
+            for o in &self.rs.get(idx).operands {
                 operands[n_operands] = o.value().expect("candidate is ready");
                 n_operands += 1;
             }
-            let entry = self.rob.get(seq).expect("RS entry has a ROB entry");
+            let entry = self.rob.at(pos);
             let payload = Self::make_payload(&entry.instr, entry.pc, &operands[..n_operands]);
             self.exec
                 .issue(&self.config.fu, class, port, seq, now, payload);
-            let entry = self.rob.get_mut(seq).expect("checked above");
+            let entry = self.rob.at_mut(pos);
             entry.state = EntryState::Issued;
             entry.issued_at = Some(now);
-            self.rs.mark_issued(seq, hold);
+            self.rs.mark_issued(idx);
+            issued_any = true;
             self.stats.issued += 1;
             self.trace.record(now, TraceEvent::Issue { seq, port });
+        }
+        // Under §5.4 rule 1 issued entries keep their slots until retire.
+        if issued_any && !self.scheme.holds_resources_until_safe() {
+            self.rs.drop_issued();
         }
         self.issue_scratch = candidates;
     }
@@ -759,16 +754,9 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn process_loads(&mut self, now: u64, ctx: &mut TickCtx<'_>, view: &SafetyView) {
-        let pending = std::mem::take(&mut self.pending_loads);
-        let mut still_pending = Vec::with_capacity(pending.len());
-        for seq in pending {
-            match self.try_load(now, ctx, view, seq) {
-                LoadStep::Done => {}
-                LoadStep::Retry => still_pending.push(seq),
-                LoadStep::Squashed => {}
-            }
-        }
-        self.pending_loads = still_pending;
+        let mut pending = std::mem::take(&mut self.pending_loads);
+        pending.retain(|&seq| self.try_load(now, ctx, view, seq) == LoadStep::Retry);
+        self.pending_loads = pending;
     }
 
     fn try_load(
@@ -778,26 +766,26 @@ impl Core {
         view: &SafetyView,
         seq: u64,
     ) -> LoadStep {
-        let Some(entry) = self.rob.get(seq) else {
+        let Some(pos) = self.rob.position(seq) else {
             return LoadStep::Squashed;
         };
+        let entry = self.rob.at(pos);
         if entry.delayed {
             return LoadStep::Retry; // waiting to become safe
         }
         let addr = entry.addr.expect("pending load has an address");
         // Store-to-load ordering: wait for older stores' addresses; forward
         // from the youngest older store to the same address.
-        let mut forward: Option<u64> = None;
-        for older in self.rob.iter().take_while(|e| e.seq < seq) {
-            if older.is_store_like() {
-                if older.state != EntryState::Done {
-                    return LoadStep::Retry;
-                }
-                if older.instr.opcode == Opcode::Store && older.addr == Some(addr) {
-                    forward = older.store_value;
-                }
-            }
+        if !view.older_store_addrs_known(pos) {
+            return LoadStep::Retry;
         }
+        let forward = self
+            .rob
+            .iter()
+            .take(pos)
+            .rev()
+            .find(|e| e.instr.opcode == Opcode::Store && e.addr == Some(addr))
+            .and_then(|e| e.store_value);
         if let Some(value) = forward {
             self.load_completions.push(LoadCompletion {
                 seq,
@@ -806,7 +794,6 @@ impl Core {
             });
             return LoadStep::Done;
         }
-        let pos = view.position_of(seq).expect("pending load is in the ROB");
         let safe = self.scheme.is_safe(view, pos);
         let level = ctx.hierarchy.probe_level(self.id, addr, AccessClass::Data);
         if safe {
@@ -825,8 +812,7 @@ impl Core {
                 latency_override,
             } => self.access_invisible(now, ctx, seq, addr, level, on_safe, latency_override),
             LoadPlan::Delay => {
-                let entry = self.rob.get_mut(seq).expect("exists");
-                entry.delayed = true;
+                self.rob.at_mut(pos).delayed = true;
                 self.stats.delayed_loads += 1;
                 self.trace
                     .record(now, TraceEvent::LoadDelayed { seq, addr });
@@ -1028,6 +1014,7 @@ impl Core {
                     entry.completed_at = Some(now);
                     let pc = entry.pc;
                     let mispredicted = entry.mispredicted;
+                    self.squash_pending |= mispredicted;
                     self.predictor.update(pc, taken, next_pc, mispredicted);
                 }
             }
@@ -1040,26 +1027,28 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn handle_squash(&mut self, now: u64, ctx: &mut TickCtx<'_>) {
-        let branch = self
-            .rob
-            .iter()
-            .find(|e| e.mispredicted && e.resolved && !e.squash_handled)
-            .map(|e| (e.seq, e.actual_next));
-        let Some((branch_seq, target)) = branch else {
+        if !std::mem::take(&mut self.squash_pending) {
             return;
-        };
-        let (checkpoint, branch_dispatched_at) = {
-            let entry = self.rob.get_mut(branch_seq).expect("exists");
-            entry.squash_handled = true;
-            (
-                entry
-                    .rat_checkpoint
-                    .clone()
-                    .expect("branches checkpoint the RAT at dispatch"),
-                entry.dispatched_at,
-            )
-        };
+        }
+        // The oldest mispredict wins; every younger one is squashed with
+        // the rest of its wrong path.
+        let entry = self
+            .rob
+            .iter_mut()
+            .find(|e| e.mispredicted && e.resolved && !e.squash_handled)
+            .expect("a pending squash has its branch in the ROB");
+        entry.squash_handled = true;
+        let (branch_seq, target, branch_dispatched_at) =
+            (entry.seq, entry.actual_next, entry.dispatched_at);
         let removed = self.rob.squash_after(branch_seq);
+        // Checkpoints younger than the branch belong to squashed branches;
+        // the branch's own is spent, since a branch squashes at most once.
+        let at = self
+            .rat_checkpoints
+            .partition_point(|&(seq, _)| seq < branch_seq);
+        let (seq, checkpoint) = self.rat_checkpoints[at];
+        debug_assert_eq!(seq, branch_seq, "branches checkpoint the RAT at dispatch");
+        self.rat_checkpoints.truncate(at);
         self.rat = checkpoint;
         // Resolve checkpoint references to producers that retired after the
         // checkpoint was taken: a missing ROB entry here can only mean
@@ -1090,15 +1079,13 @@ impl Core {
             // Shadow-I-cache / filter-cache semantics: wrong-path
             // instruction fills are undone. Every line fetched after the
             // mispredicted branch entered the ROB is on the wrong path.
-            let mut kept = Vec::new();
-            for (cycle, line) in std::mem::take(&mut self.spec_ifetch_fills) {
-                if cycle >= branch_dispatched_at {
+            self.spec_ifetch_fills.retain(|&(cycle, line)| {
+                let wrong_path = cycle >= branch_dispatched_at;
+                if wrong_path {
                     ctx.hierarchy.flush_addr(line * si_cache::LINE_BYTES);
-                } else {
-                    kept.push((cycle, line));
                 }
-            }
-            self.spec_ifetch_fills = kept;
+                !wrong_path
+            });
         }
         self.frontend.redirect(target, now);
         self.stats.squashes += 1;
@@ -1122,44 +1109,34 @@ impl Core {
             .iter()
             .any(|e| e.delayed || e.pending_safe_action.is_some())
         {
-            return; // nothing deferred: skip the snapshot entirely
+            return; // nothing deferred: skip the summary entirely
         }
-        let view = self.make_view();
-        let mut seqs = std::mem::take(&mut self.seq_scratch);
-        seqs.clear();
-        seqs.extend(self.rob.iter().map(|e| e.seq));
-        for &seq in &seqs {
-            let pos = view.position_of(seq).expect("just listed");
-            let entry = self.rob.get(seq).expect("just listed");
-            let delayed = entry.delayed;
-            let pending = entry.pending_safe_action;
-            let done = entry.state == EntryState::Done;
-            if (delayed || pending.is_some()) && self.scheme.is_safe(&view, pos) {
-                if delayed {
-                    let e = self.rob.get_mut(seq).expect("exists");
-                    e.delayed = false; // re-issues visibly next LSU pass
-                }
-                if let Some(action) = pending {
-                    if done {
-                        let entry = self.rob.get(seq).expect("exists").clone();
-                        self.apply_safe_action(now, ctx, &entry, action);
-                        self.rob.get_mut(seq).expect("exists").pending_safe_action = None;
-                    }
+        let view = self.rob.safety_view();
+        for pos in 0..self.rob.len() {
+            let entry = self.rob.at_mut(pos);
+            if !(entry.delayed || entry.pending_safe_action.is_some())
+                || !self.scheme.is_safe(&view, pos)
+            {
+                continue;
+            }
+            entry.delayed = false; // re-issues visibly next LSU pass
+            if entry.state == EntryState::Done {
+                if let Some(action) = entry.pending_safe_action.take() {
+                    let addr = entry.addr;
+                    self.apply_safe_action(now, ctx, addr, action);
                 }
             }
         }
-        self.seq_scratch = seqs;
-        self.recycle_view(view);
     }
 
     fn apply_safe_action(
         &mut self,
         now: u64,
         ctx: &mut TickCtx<'_>,
-        entry: &RobEntry,
+        addr: Option<u64>,
         action: SafeAction,
     ) {
-        let addr = entry.addr.expect("loads with safe actions have addresses");
+        let addr = addr.expect("loads with safe actions have addresses");
         match action {
             SafeAction::TouchReplacement => {
                 ctx.hierarchy.touch(now, self.id, addr, AccessClass::Data);
@@ -1196,7 +1173,7 @@ impl Core {
             entry.predicted_next = fetched.predicted_next;
             match fetched.instr.opcode {
                 Opcode::Branch => {
-                    entry.rat_checkpoint = Some(self.rat.clone());
+                    self.rat_checkpoints.push_back((seq, self.rat));
                 }
                 Opcode::Jump => {
                     entry.resolved = true;
@@ -1281,8 +1258,10 @@ impl Core {
         let fills = self.frontend.take_ifetch_fills();
         if self.scheme.protects_ifetch() {
             self.spec_ifetch_fills.extend(fills);
-            // Fills become architectural once no branch is unresolved.
-            if !self.rob.iter().any(|e| e.is_branch() && !e.resolved) {
+            // Fills become architectural once no branch is unresolved:
+            // then even the next instruction to dispatch is Spectre-safe.
+            let next = self.rob.len();
+            if self.rob.safety_view().spectre_safe(next) {
                 self.spec_ifetch_fills.clear();
             }
         }

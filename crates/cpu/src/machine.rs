@@ -438,7 +438,7 @@ impl Machine {
         }
         let mut plans = std::mem::take(&mut self.quiet_plans);
         plans.clear();
-        for core in &self.cores {
+        for core in &mut self.cores {
             match core.quiet_plan(now) {
                 Some(plan) => {
                     bound = bound.min(plan.until);

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use si_isa::{Instruction, Opcode, NUM_REGS};
 
-use crate::scheme::SafeAction;
+use crate::scheme::{SafeAction, SafetyFlags, SafetyView};
 
 /// A rename tag: either a committed value or a reference to the in-flight
 /// producer's sequence number.
@@ -17,11 +17,12 @@ pub enum RegTag {
 }
 
 /// The register-alias table: one [`RegTag`] per architectural register.
-pub type Rat = Vec<RegTag>;
+/// A plain array, so a branch's checkpoint is a copy, not an allocation.
+pub type Rat = [RegTag; NUM_REGS];
 
 /// Creates a RAT with every register holding value 0.
 pub fn fresh_rat() -> Rat {
-    vec![RegTag::Value(0); NUM_REGS]
+    [RegTag::Value(0); NUM_REGS]
 }
 
 /// Execution status of a ROB entry.
@@ -63,8 +64,6 @@ pub struct RobEntry {
     pub mispredicted: bool,
     /// Whether the squash for this mispredict was already performed.
     pub squash_handled: bool,
-    /// RAT snapshot taken at dispatch (branches only).
-    pub rat_checkpoint: Option<Rat>,
     /// Deferred cache-state action for an invisibly executed load.
     pub pending_safe_action: Option<SafeAction>,
     /// Load currently parked by a `Delay` plan.
@@ -96,7 +95,6 @@ impl RobEntry {
             actual_next: 0,
             mispredicted: false,
             squash_handled: false,
-            rat_checkpoint: None,
             pending_safe_action: None,
             delayed: false,
             spec_fill_line: None,
@@ -120,14 +118,39 @@ impl RobEntry {
     pub fn is_store_like(&self) -> bool {
         matches!(self.instr.opcode, Opcode::Store | Opcode::Flush)
     }
+
+    /// The facts the shadow models read off this entry. Each flag, once
+    /// clear, stays clear for as long as the entry is in flight: branches
+    /// only resolve, loads and stores only complete, and a fence keeps its
+    /// flag until it retires.
+    pub(crate) fn safety_flags(&self) -> SafetyFlags {
+        SafetyFlags {
+            unresolved_branch: self.is_branch() && !self.resolved,
+            load_incomplete: self.is_load() && self.state != EntryState::Done,
+            store_addr_unknown: self.is_store_like() && self.state != EntryState::Done,
+            fence: self.instr.opcode == Opcode::Fence,
+        }
+    }
 }
 
 /// The reorder buffer: a bounded, age-ordered queue of in-flight
 /// instructions.
+///
+/// It also keeps the [`SafetyView`] summary up to date without rescanning:
+/// one sequence-number cursor per shadow kind ([`SafetyFlags`] field), with
+/// the invariant that no entry older than the cursor carries that flag.
+/// The cursors only ever move forward, which is sound because a flag only
+/// clears on its own entry (`RobEntry::safety_flags`), entries leave only
+/// at the head (retire) or the tail (squash), and every dispatched entry
+/// is younger than every sequence number handed out before it. A squash
+/// may leave a cursor past the tail; the next dispatch lands at or beyond
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct Rob {
     entries: VecDeque<RobEntry>,
     capacity: usize,
+    /// One cursor per shadow kind, in [`SafetyView`] field order.
+    cursors: [u64; 4],
 }
 
 impl Rob {
@@ -136,6 +159,7 @@ impl Rob {
         Rob {
             entries: VecDeque::with_capacity(capacity),
             capacity,
+            cursors: [0; 4],
         }
     }
 
@@ -190,11 +214,90 @@ impl Rob {
 
     /// Position of `seq` from the head (0 = oldest).
     pub fn position(&self, seq: u64) -> Option<usize> {
+        let (head, tail) = (self.entries.front()?.seq, self.entries.back()?.seq);
+        if !(head..=tail).contains(&seq) {
+            return None;
+        }
+        // Sequence numbers are dense except where a squash left a gap, so
+        // the distance from the head, or else from the tail, is usually
+        // the position; only an entry with gaps on both sides needs the
+        // search.
+        let from_head = (seq - head) as usize;
+        if self.entries.get(from_head).is_some_and(|e| e.seq == seq) {
+            return Some(from_head);
+        }
+        let from_tail = (self.entries.len() - 1).checked_sub((tail - seq) as usize);
+        if let Some(pos) = from_tail.filter(|&pos| self.entries[pos].seq == seq) {
+            return Some(pos);
+        }
         self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
     }
 
+    /// The entry at position `pos` (0 = oldest).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= len()`.
+    pub(crate) fn at(&self, pos: usize) -> &RobEntry {
+        &self.entries[pos]
+    }
+
+    /// Mutable access to the entry at position `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= len()`.
+    pub(crate) fn at_mut(&mut self, pos: usize) -> &mut RobEntry {
+        &mut self.entries[pos]
+    }
+
+    /// The safety summary of the entries now in flight: the position of
+    /// the oldest entry carrying each shadow flag. Each cursor resumes
+    /// where the last call left it, so the cost is a position lookup per
+    /// kind plus the entries the cursors pass, each passed once.
+    pub(crate) fn safety_view(&mut self) -> SafetyView {
+        let view = SafetyView {
+            unresolved_branch: self.settle(0, |f| f.unresolved_branch),
+            load_incomplete: self.settle(1, |f| f.load_incomplete),
+            store_addr_unknown: self.settle(2, |f| f.store_addr_unknown),
+            fence: self.settle(3, |f| f.fence),
+        };
+        debug_assert_eq!(
+            view,
+            SafetyView::new(self.entries.iter().map(RobEntry::safety_flags).collect()),
+            "cursor-kept safety view differs from a full rebuild"
+        );
+        view
+    }
+
+    /// Moves cursor `kind` forward to the oldest entry whose flag is set
+    /// and returns that entry's position, or parks the cursor just past
+    /// the tail and returns `usize::MAX`.
+    fn settle(&mut self, kind: usize, flagged: impl Fn(SafetyFlags) -> bool) -> usize {
+        let cursor = self.cursors[kind];
+        let start = self
+            .position(cursor)
+            .unwrap_or_else(|| self.entries.partition_point(|e| e.seq < cursor));
+        match self
+            .entries
+            .range(start..)
+            .position(|e| flagged(e.safety_flags()))
+        {
+            Some(offset) => {
+                self.cursors[kind] = self.entries[start + offset].seq;
+                start + offset
+            }
+            None => {
+                if let Some(tail) = self.entries.back() {
+                    self.cursors[kind] = cursor.max(tail.seq + 1);
+                }
+                usize::MAX
+            }
+        }
+    }
+
     /// Iterates entries oldest-to-youngest.
-    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
+    pub fn iter(&self) -> std::collections::vec_deque::Iter<'_, RobEntry> {
         self.entries.iter()
     }
 
@@ -261,6 +364,70 @@ mod tests {
         assert!(rob.get(1).is_none());
         assert_eq!(rob.get(3).unwrap().seq, 3);
         assert_eq!(rob.position(2), Some(0));
+    }
+
+    #[test]
+    fn position_finds_entries_between_squash_gaps() {
+        let mut rob = Rob::new(16);
+        // Seqs 0..3, a gap, 10..13, a gap, 20..23: every entry but the
+        // first run and the last sits past a gap on the head side.
+        for s in (0..3).chain(10..13).chain(20..23) {
+            rob.push(entry(s));
+        }
+        for (pos, e) in rob.iter().enumerate() {
+            assert_eq!(rob.position(e.seq), Some(pos), "seq {}", e.seq);
+        }
+        for missing in [3, 9, 13, 19, 23, 100] {
+            assert_eq!(rob.position(missing), None, "seq {missing}");
+        }
+        rob.pop_head();
+        assert_eq!(rob.position(0), None, "retired");
+        assert_eq!(rob.position(11), Some(3));
+    }
+
+    #[test]
+    fn safety_cursors_advance_across_retire_squash_and_dispatch() {
+        let load = |seq| RobEntry::new(seq, seq * 8, Instruction::load(R1, R2, 0), 0);
+        let branch = |seq| {
+            let beq = Instruction::branch(si_isa::BranchCond::Eq, R1, R2, 0);
+            RobEntry::new(seq, seq * 8, beq, 0)
+        };
+        let mut rob = Rob::new(8);
+        rob.push(entry(0));
+        rob.push(load(1));
+        rob.push(branch(2));
+        rob.push(load(3));
+        let v = rob.safety_view();
+        assert_eq!((v.load_incomplete, v.unresolved_branch), (1, 2));
+        assert_eq!(rob.cursors[1], 1, "load cursor stops at the oldest load");
+        // The oldest load completes and retires: the cursor moves on to the
+        // next incomplete load, whose position is relative to the new head.
+        rob.get_mut(1).unwrap().state = EntryState::Done;
+        rob.pop_head();
+        rob.pop_head();
+        let v = rob.safety_view();
+        assert_eq!((v.load_incomplete, v.unresolved_branch), (1, 0));
+        assert_eq!(rob.cursors[1], 3);
+        // The branch resolves and squashes load 3: both cursors are left
+        // past the tail, never moved back.
+        rob.get_mut(2).unwrap().resolved = true;
+        assert_eq!(rob.squash_after(2).len(), 1);
+        let v = rob.safety_view();
+        assert_eq!(
+            (v.load_incomplete, v.unresolved_branch),
+            (usize::MAX, usize::MAX)
+        );
+        assert_eq!(rob.cursors[..2], [3, 3]);
+        // Later dispatches take fresh, larger seqs, so they land at or past
+        // every cursor and are seen.
+        rob.push(entry(7));
+        rob.push(load(8));
+        rob.push(branch(9));
+        let v = rob.safety_view();
+        assert_eq!((v.load_incomplete, v.unresolved_branch), (2, 3));
+        assert_eq!(rob.cursors[..2], [9, 8]);
+        assert_eq!(v.store_addr_unknown, usize::MAX);
+        assert_eq!(v.fence, usize::MAX);
     }
 
     #[test]

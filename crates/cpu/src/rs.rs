@@ -158,22 +158,32 @@ impl ReservationStation {
     }
 
     /// Iterates entries (unordered pool order; callers sort by `seq` for
-    /// age-ordered scheduling).
+    /// age-ordered scheduling). An entry's index in this order is its
+    /// handle for `get` and `mark_issued` until the pool next shrinks.
     pub fn iter(&self) -> impl Iterator<Item = &RsEntry> {
         self.entries.iter()
     }
 
-    /// Marks `seq` issued; removes it unless `hold` is set. (Pool order is
-    /// not significant — schedulers sort by `seq` — so removal is a
-    /// swap-remove, not a shift.)
-    pub fn mark_issued(&mut self, seq: u64, hold: bool) {
-        if hold {
-            if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
-                e.issued = true;
-            }
-        } else if let Some(i) = self.entries.iter().position(|e| e.seq == seq) {
-            self.entries.swap_remove(i);
-        }
+    /// The entry at pool index `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub(crate) fn get(&self, idx: usize) -> &RsEntry {
+        &self.entries[idx]
+    }
+
+    /// Marks the entry at pool index `idx` issued. It keeps its slot until
+    /// [`drop_issued`](ReservationStation::drop_issued) or, under the §5.4
+    /// hold-resources defense, [`release`](ReservationStation::release) at
+    /// retirement.
+    pub(crate) fn mark_issued(&mut self, idx: usize) {
+        self.entries[idx].issued = true;
+    }
+
+    /// Frees every issued entry's slot in one pass.
+    pub(crate) fn drop_issued(&mut self) {
+        self.entries.retain(|e| !e.issued);
     }
 
     /// Releases a held entry at retirement.
@@ -242,15 +252,22 @@ mod tests {
     }
 
     #[test]
-    fn issue_removes_by_default_but_holds_under_defense() {
+    fn issued_entries_hold_their_slot_until_dropped_or_released() {
         let mut rs = ReservationStation::new(4);
-        rs.insert(entry(0, FuClass::IntAlu, vec![]));
-        rs.insert(entry(1, FuClass::IntAlu, vec![]));
-        rs.mark_issued(0, false);
+        for s in 0..3 {
+            rs.insert(entry(s, FuClass::IntAlu, vec![]));
+        }
+        rs.mark_issued(0);
+        rs.mark_issued(2);
+        assert_eq!(rs.occupancy(), 3, "marking alone frees nothing");
+        assert!(!rs.older_unissued_for(FuClass::IntAlu, 1));
+        assert!(rs.older_unissued_for(FuClass::IntAlu, 2));
+        rs.drop_issued();
         assert_eq!(rs.occupancy(), 1);
-        rs.mark_issued(1, true);
-        assert_eq!(rs.occupancy(), 1, "held entry still occupies a slot");
-        assert!(rs.iter().next().unwrap().issued);
+        assert_eq!(rs.get(0).seq, 1, "the survivor keeps pool order");
+        // Under the hold-resources defense the slot is freed at retire.
+        rs.mark_issued(0);
+        assert!(rs.get(0).issued);
         rs.release(1);
         assert_eq!(rs.occupancy(), 0);
     }

@@ -17,11 +17,9 @@
 
 use si_cache::{Hierarchy, HitLevel};
 
-/// Per-entry facts the safety models need, in ROB (program) order.
+/// Per-entry facts the safety models need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyFlags {
-    /// Global sequence number of the instruction.
-    pub seq: u64,
     /// A conditional branch that has not resolved.
     pub unresolved_branch: bool,
     /// A load whose data has not returned (including delayed loads).
@@ -32,50 +30,39 @@ pub struct SafetyFlags {
     pub fence: bool,
 }
 
-/// A per-cycle snapshot of the ROB used to classify instructions as
-/// safe/unsafe under the shadow models of §2.2/§5.2.
-#[derive(Debug, Clone, Default)]
+/// A summary of the ROB used to classify instructions as safe/unsafe
+/// under the shadow models of §2.2/§5.2: for each [`SafetyFlags`] kind,
+/// the position (0 = head) of the oldest entry carrying it, `usize::MAX`
+/// when none does. An entry is in a shadow iff it is younger than that
+/// shadow's oldest caster, so every query is one comparison. The core's
+/// [`Rob`](crate::Rob) keeps it current as entries dispatch, complete,
+/// retire and squash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyView {
-    flags: Vec<SafetyFlags>,
+    pub(crate) unresolved_branch: usize,
+    pub(crate) load_incomplete: usize,
+    pub(crate) store_addr_unknown: usize,
+    pub(crate) fence: usize,
 }
 
 impl SafetyView {
-    /// Builds a view from per-entry flags listed head-to-tail.
+    /// Summarizes per-entry flags listed head-to-tail.
     pub fn new(flags: Vec<SafetyFlags>) -> SafetyView {
-        SafetyView { flags }
-    }
-
-    /// Recovers the flags vector so per-cycle callers can reuse its
-    /// allocation for the next snapshot.
-    pub fn into_flags(self) -> Vec<SafetyFlags> {
-        self.flags
-    }
-
-    /// Number of ROB entries in the snapshot.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    /// Position (0 = head) of the entry with sequence number `seq`.
-    pub fn position_of(&self, seq: u64) -> Option<usize> {
-        self.flags.binary_search_by_key(&seq, |f| f.seq).ok()
-    }
-
-    /// The flags at `pos`.
-    pub fn flags(&self, pos: usize) -> &SafetyFlags {
-        &self.flags[pos]
+        let oldest =
+            |kind: fn(&SafetyFlags) -> bool| flags.iter().position(kind).unwrap_or(usize::MAX);
+        SafetyView {
+            unresolved_branch: oldest(|f| f.unresolved_branch),
+            load_incomplete: oldest(|f| f.load_incomplete),
+            store_addr_unknown: oldest(|f| f.store_addr_unknown),
+            fence: oldest(|f| f.fence),
+        }
     }
 
     /// **Spectre model** safety: safe iff no older branch is unresolved
     /// ("a load is non-speculative iff it is older than the oldest
     /// unresolved branch", §1).
     pub fn spectre_safe(&self, pos: usize) -> bool {
-        self.flags[..pos].iter().all(|f| !f.unresolved_branch)
+        pos <= self.unresolved_branch
     }
 
     /// **Futuristic model** safety: safe iff no older instruction can still
@@ -84,14 +71,20 @@ impl SafetyView {
     /// Futuristic mode unprotects a load "only when it becomes the oldest
     /// load or the oldest instruction in the ROB").
     pub fn futuristic_safe(&self, pos: usize) -> bool {
-        self.flags[..pos]
-            .iter()
-            .all(|f| !f.unresolved_branch && !f.load_incomplete && !f.store_addr_unknown)
+        pos <= self
+            .unresolved_branch
+            .min(self.load_incomplete)
+            .min(self.store_addr_unknown)
+    }
+
+    /// Whether every store or flush older than `pos` has its address.
+    pub fn older_store_addrs_known(&self, pos: usize) -> bool {
+        pos <= self.store_addr_unknown
     }
 
     /// Whether an unretired program-level `Fence` exists older than `pos`.
     pub fn fence_blocked(&self, pos: usize) -> bool {
-        self.flags[..pos].iter().any(|f| f.fence)
+        self.fence < pos
     }
 }
 
@@ -234,19 +227,16 @@ impl SpeculationScheme for Unprotected {
 mod tests {
     use super::*;
 
-    fn flags(seq: u64) -> SafetyFlags {
-        SafetyFlags {
-            seq,
-            unresolved_branch: false,
-            load_incomplete: false,
-            store_addr_unknown: false,
-            fence: false,
-        }
-    }
+    const CLEAR: SafetyFlags = SafetyFlags {
+        unresolved_branch: false,
+        load_incomplete: false,
+        store_addr_unknown: false,
+        fence: false,
+    };
 
     #[test]
     fn spectre_safety_tracks_unresolved_branches() {
-        let mut f = vec![flags(0), flags(1), flags(2)];
+        let mut f = vec![CLEAR; 3];
         f[1].unresolved_branch = true;
         let v = SafetyView::new(f);
         assert!(v.spectre_safe(0));
@@ -256,7 +246,7 @@ mod tests {
 
     #[test]
     fn futuristic_safety_is_stricter() {
-        let mut f = vec![flags(0), flags(1), flags(2)];
+        let mut f = vec![CLEAR; 3];
         f[0].load_incomplete = true;
         let v = SafetyView::new(f);
         assert!(v.spectre_safe(2), "no branches -> spectre safe");
@@ -267,7 +257,7 @@ mod tests {
 
     #[test]
     fn store_addresses_block_futuristic() {
-        let mut f = vec![flags(0), flags(1)];
+        let mut f = vec![CLEAR; 2];
         f[0].store_addr_unknown = true;
         let v = SafetyView::new(f);
         assert!(!v.futuristic_safe(1));
@@ -275,23 +265,69 @@ mod tests {
 
     #[test]
     fn fences_block_by_position() {
-        let mut f = vec![flags(0), flags(1), flags(2)];
+        let mut f = vec![CLEAR; 3];
         f[1].fence = true;
         let v = SafetyView::new(f);
         assert!(!v.fence_blocked(1));
         assert!(v.fence_blocked(2));
     }
 
+    /// Every query's answer at positions `0..5`: `(spectre_safe,
+    /// futuristic_safe, older_store_addrs_known, fence_blocked)`.
+    fn answers(v: &SafetyView) -> Vec<(bool, bool, bool, bool)> {
+        (0..5)
+            .map(|pos| {
+                (
+                    v.spectre_safe(pos),
+                    v.futuristic_safe(pos),
+                    v.older_store_addrs_known(pos),
+                    v.fence_blocked(pos),
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn position_lookup_by_seq() {
-        let v = SafetyView::new(vec![flags(5), flags(9), flags(12)]);
-        assert_eq!(v.position_of(9), Some(1));
-        assert_eq!(v.position_of(7), None);
+    fn summary_keeps_the_oldest_caster_of_each_kind() {
+        let kinds: [fn(&mut SafetyFlags); 4] = [
+            |f| f.unresolved_branch = true,
+            |f| f.load_incomplete = true,
+            |f| f.store_addr_unknown = true,
+            |f| f.fence = true,
+        ];
+        let empty = SafetyView::new(Vec::new());
+        assert_eq!(answers(&empty), vec![(true, true, true, false); 5]);
+        for (k, set) in kinds.iter().enumerate() {
+            // Casters at positions 1 and 3: the younger one adds nothing.
+            let mut f = vec![CLEAR; 5];
+            set(&mut f[1]);
+            set(&mut f[3]);
+            let both = SafetyView::new(f.clone());
+            let mut only_oldest = vec![CLEAR; 5];
+            set(&mut only_oldest[1]);
+            assert_eq!(both, SafetyView::new(only_oldest), "kind {k}");
+            // The caster itself is outside its own shadow; younger
+            // entries are inside it under exactly the models that read
+            // this kind.
+            let a = answers(&both);
+            for (pos, &(spectre, futuristic, stores_known, fenced)) in a.iter().enumerate() {
+                let shadowed = pos > 1;
+                assert_eq!(spectre, !(shadowed && k == 0), "kind {k} pos {pos}");
+                assert_eq!(futuristic, !(shadowed && k < 3), "kind {k} pos {pos}");
+                assert_eq!(stores_known, !(shadowed && k == 2), "kind {k} pos {pos}");
+                assert_eq!(fenced, shadowed && k == 3, "kind {k} pos {pos}");
+            }
+            // Once the oldest caster clears, the shadow starts at the next.
+            f[1] = CLEAR;
+            let a = answers(&SafetyView::new(f));
+            assert_eq!(a[3], answers(&empty)[3], "kind {k}: caster at 3");
+            assert_ne!(a[4], answers(&empty)[4], "kind {k}: shadowed by 3");
+        }
     }
 
     #[test]
     fn unprotected_never_restricts() {
-        let v = SafetyView::new(vec![flags(0)]);
+        let v = SafetyView::new(vec![CLEAR]);
         let s = Unprotected;
         assert!(s.is_safe(&v, 0));
         assert!(!s.blocks_issue(&v, 0));

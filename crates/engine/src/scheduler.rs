@@ -27,7 +27,7 @@ const CHUNKS_PER_SPAN: usize = 8;
 /// One result slot. Workers write disjoint indices, so the only shared
 /// access is the (synchronized-by-join) final read.
 ///
-/// Panic behaviour: if a unit panics, the scope propagates it and the
+/// Panic behaviour: if a unit panics, the join re-raises it and the
 /// slot vector drops as `MaybeUninit` — already-written results are
 /// **leaked, never double-dropped or read uninitialized**. That is a
 /// deliberate tradeoff: precisely tracking which slots initialized
@@ -91,8 +91,9 @@ where
     let spans_ref = &spans;
     let f_ref = &f;
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 // Drain the own span first (cache-friendly contiguous
                 // indices), then sweep the other spans stealing whatever
                 // chunks remain. One full empty sweep means all cursors
@@ -118,7 +119,19 @@ where
                         break;
                     }
                 }
-            });
+            }));
+        }
+        // Join every worker thread, not only its closure. A scope returns
+        // once the closures finish, while their threads may still be
+        // exiting and holding their allocator arenas (glibc hands an arena
+        // back when its thread exits). Workers spawned by the next call in
+        // that window would each create a fresh arena, and every arena
+        // keeps the memory its units freed, so back-to-back grids would
+        // raise the process's resident set by an arena's worth per race.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 
@@ -170,6 +183,15 @@ mod tests {
             i * 2
         });
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 5 failed")]
+    fn a_panicking_unit_reraises_its_own_payload() {
+        run_indexed(16, 2, |i| {
+            assert_ne!(i, 5, "unit 5 failed");
+            i
+        });
     }
 
     #[test]

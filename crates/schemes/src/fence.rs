@@ -35,13 +35,12 @@ use crate::ShadowModel;
 ///
 /// let fence = FenceDefense::new(ShadowModel::Spectre);
 /// let branch = SafetyFlags {
-///     seq: 0,
 ///     unresolved_branch: true,
 ///     load_incomplete: false,
 ///     store_addr_unknown: false,
 ///     fence: false,
 /// };
-/// let younger = SafetyFlags { seq: 1, unresolved_branch: false, ..branch };
+/// let younger = SafetyFlags { unresolved_branch: false, ..branch };
 /// let view = SafetyView::new(vec![branch, younger]);
 /// assert!(!fence.blocks_issue(&view, 0));
 /// assert!(fence.blocks_issue(&view, 1));
@@ -94,9 +93,8 @@ mod tests {
     use super::*;
     use si_cpu::SafetyFlags;
 
-    fn flags(seq: u64, unresolved_branch: bool) -> SafetyFlags {
+    fn flags(unresolved_branch: bool) -> SafetyFlags {
         SafetyFlags {
-            seq,
             unresolved_branch,
             load_incomplete: false,
             store_addr_unknown: false,
@@ -107,7 +105,7 @@ mod tests {
     #[test]
     fn issue_blocked_behind_unresolved_branch() {
         let fence = FenceDefense::new(ShadowModel::Spectre);
-        let v = SafetyView::new(vec![flags(0, true), flags(1, false)]);
+        let v = SafetyView::new(vec![flags(true), flags(false)]);
         assert!(!fence.blocks_issue(&v, 0), "the branch itself may issue");
         assert!(fence.blocks_issue(&v, 1), "younger instruction is fenced");
     }
@@ -115,7 +113,7 @@ mod tests {
     #[test]
     fn futuristic_model_blocks_behind_incomplete_loads() {
         let fence = FenceDefense::new(ShadowModel::Futuristic);
-        let mut f = vec![flags(0, false), flags(1, false)];
+        let mut f = vec![flags(false); 2];
         f[0].load_incomplete = true;
         let v = SafetyView::new(f);
         assert!(fence.blocks_issue(&v, 1));

@@ -21,13 +21,12 @@ use si_cpu::SafetyView;
 /// use si_schemes::ShadowModel;
 ///
 /// let older = SafetyFlags {
-///     seq: 0,
 ///     unresolved_branch: false,
 ///     load_incomplete: true,
 ///     store_addr_unknown: false,
 ///     fence: false,
 /// };
-/// let younger = SafetyFlags { seq: 1, load_incomplete: false, ..older };
+/// let younger = SafetyFlags { load_incomplete: false, ..older };
 /// let view = SafetyView::new(vec![older, younger]);
 /// assert!(ShadowModel::Spectre.is_safe(&view, 1));
 /// assert!(ShadowModel::NonTso.is_safe(&view, 1));
@@ -56,9 +55,7 @@ impl ShadowModel {
     pub fn is_safe(self, view: &SafetyView, pos: usize) -> bool {
         match self {
             ShadowModel::Spectre => view.spectre_safe(pos),
-            ShadowModel::NonTso => {
-                view.spectre_safe(pos) && (0..pos).all(|i| !view.flags(i).store_addr_unknown)
-            }
+            ShadowModel::NonTso => view.spectre_safe(pos) && view.older_store_addrs_known(pos),
             ShadowModel::Futuristic => view.futuristic_safe(pos),
         }
     }
@@ -78,21 +75,18 @@ mod tests {
     use super::*;
     use si_cpu::SafetyFlags;
 
-    fn flags(seq: u64) -> SafetyFlags {
-        SafetyFlags {
-            seq,
-            unresolved_branch: false,
-            load_incomplete: false,
-            store_addr_unknown: false,
-            fence: false,
-        }
-    }
+    const CLEAR: SafetyFlags = SafetyFlags {
+        unresolved_branch: false,
+        load_incomplete: false,
+        store_addr_unknown: false,
+        fence: false,
+    };
 
     #[test]
     fn models_order_by_strictness() {
         // An older incomplete load: Spectre-safe, NonTso-safe, not
         // Futuristic-safe.
-        let mut f = vec![flags(0), flags(1)];
+        let mut f = vec![CLEAR; 2];
         f[0].load_incomplete = true;
         let v = SafetyView::new(f);
         assert!(ShadowModel::Spectre.is_safe(&v, 1));
@@ -102,7 +96,7 @@ mod tests {
 
     #[test]
     fn non_tso_blocks_on_unknown_store_addresses() {
-        let mut f = vec![flags(0), flags(1)];
+        let mut f = vec![CLEAR; 2];
         f[0].store_addr_unknown = true;
         let v = SafetyView::new(f);
         assert!(ShadowModel::Spectre.is_safe(&v, 1));
@@ -112,7 +106,7 @@ mod tests {
 
     #[test]
     fn all_models_agree_on_branch_shadows() {
-        let mut f = vec![flags(0), flags(1)];
+        let mut f = vec![CLEAR; 2];
         f[0].unresolved_branch = true;
         let v = SafetyView::new(f);
         for m in [

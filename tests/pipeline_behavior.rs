@@ -269,3 +269,84 @@ fn agent_timed_access_distinguishes_every_hierarchy_level() {
         .unwrap();
     assert_eq!(r.level, HitLevel::Memory);
 }
+
+#[test]
+fn nested_mispredicts_restore_the_rat_inner_first() {
+    use speculative_interference::cpu::TraceEvent;
+    use speculative_interference::isa::{Interpreter, Reg, R10, R11, R7, R8, R9};
+    const PROBE: u64 = 0x10_0000;
+    let line = |r3: u64| PROBE + (r3 << 12);
+    // The outer branch waits on cold loads, so it resolves long after the
+    // inner branch on its wrong path. Both are taken and predicted
+    // not-taken. After the inner squash, the transient load must see the
+    // inner checkpoint's r3 (7); after the outer squash, the architectural
+    // path must see the outer checkpoint's r3 (5) and r5 (100).
+    let mut asm = Assembler::new(0);
+    let outer = asm.label("outer");
+    let inner = asm.label("inner");
+    asm.mov_imm(R1, 0x8000); // cold lines, all reading 0
+    asm.mov_imm(R3, 5);
+    asm.mov_imm(R5, 100);
+    asm.mov_imm(R10, PROBE as i64);
+    asm.mov_imm(R11, 12);
+    asm.load(R2, R1, 0);
+    for k in 1..4 {
+        // A chain of dependent misses outlasts the wrong path's I-misses.
+        asm.add(R8, R1, R2);
+        asm.load(R2, R8, k * 0x1000);
+    }
+    asm.branch_eq(R2, R0_, outer); // outer: resolves after the misses
+    asm.mov_imm(R3, 7); // outer wrong path from here on
+    asm.mov_imm(R4, 1);
+    asm.branch_eq(R4, R4, inner); // inner: resolves in a few cycles
+    asm.mov_imm(R3, 9); // inner wrong path
+    asm.mov_imm(R5, 11);
+    asm.fence(); // nothing on the inner wrong path issues past here
+    asm.bind(inner);
+    asm.shl(R8, R3, R11);
+    asm.add(R8, R8, R10);
+    asm.load(R9, R8, 0); // transient touch of line(r3)
+    asm.add(R5, R5, R3);
+    asm.bind(outer);
+    asm.add(R6, R5, R3);
+    asm.add(R3, R3, R3);
+    asm.mov_imm(R7, 1);
+    asm.halt();
+    let program = asm.assemble().unwrap();
+
+    let mut m = Machine::new(MachineConfig::default());
+    m.load_program_with_scheme(0, &program, SchemeKind::Unprotected.build());
+    m.core_mut(0).set_trace_enabled(true);
+    m.run_core_to_halt(0, 1_000_000).expect("halts");
+    let squashed: Vec<u64> = m
+        .core(0)
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            TraceEvent::Squash { branch_seq, .. } => Some(*branch_seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(squashed.len(), 2, "one squash per branch: {squashed:?}");
+    assert!(
+        squashed[0] > squashed[1],
+        "the inner (younger) branch squashes first: {squashed:?}"
+    );
+    let hierarchy = m.hierarchy();
+    assert!(
+        hierarchy.resident_anywhere(line(7)),
+        "inner checkpoint restored"
+    );
+    for wrong in [5, 9] {
+        assert!(!hierarchy.resident_anywhere(line(wrong)), "r3 = {wrong}");
+    }
+
+    let mut reference = Interpreter::new(&program);
+    reference.run(100_000).expect("reference halts");
+    for i in 1..12 {
+        let r = Reg::new(i).unwrap();
+        assert_eq!(m.core(0).reg(r), reference.reg(r), "r{i}");
+    }
+    assert_eq!((m.core(0).reg(R6), m.core(0).reg(R3)), (105, 10));
+}

@@ -22,12 +22,11 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use si_cache::{line_of, AccessClass, Hierarchy, HitLevel, Visibility};
-use si_isa::{isqrt, FuClass, Instruction, Opcode, Program, Reg, INSTR_BYTES, NUM_REGS};
+use si_isa::{isqrt, FuClass, Instruction, Memory, Opcode, Program, Reg, INSTR_BYTES, NUM_REGS};
 
 use crate::config::CoreConfig;
 use crate::exec::{ExecPayload, ExecUnits, InFlight};
 use crate::frontend::{FetchOutcome, Frontend, FrontendQuiet};
-use crate::memory::Memory;
 use crate::predictor::Predictor;
 use crate::rob::{fresh_rat, EntryState, Rat, RegTag, Rob, RobEntry};
 use crate::rs::{Operand, ReservationStation, RsEntry};
@@ -96,8 +95,12 @@ pub struct Core {
     next_seq: u64,
     stats: CoreStats,
     trace: Trace,
-    /// Reused allocation for the issue stage's ready candidates
-    /// `(seq, RS index)`.
+    /// ROB entries for which [`RobEntry::deferred`] holds, kept as those
+    /// flags change so safe promotion and the idle-skip proof need no ROB
+    /// scan while nothing is deferred.
+    deferred: usize,
+    /// Reused allocation for the issue stage's copy of the RS ready list
+    /// `(seq, slot)`.
     issue_scratch: Vec<(u64, usize)>,
     /// Reused allocation for the completion sweep.
     done_scratch: Vec<InFlight>,
@@ -135,6 +138,7 @@ impl Clone for Core {
             next_seq: self.next_seq,
             stats: self.stats,
             trace: self.trace.clone(),
+            deferred: self.deferred,
             issue_scratch: self.issue_scratch.clone(),
             done_scratch: self.done_scratch.clone(),
         }
@@ -220,6 +224,7 @@ impl Core {
             next_seq: 0,
             stats: CoreStats::default(),
             trace: Trace::new(),
+            deferred: 0,
             issue_scratch: Vec::new(),
             done_scratch: Vec::new(),
             program,
@@ -335,6 +340,12 @@ impl Core {
                 .map(|e| e.seq)),
             "RAT checkpoints differ from the unsquashed branches in the ROB"
         );
+        debug_assert_eq!(
+            self.deferred,
+            self.rob.iter().filter(|e| e.deferred()).count(),
+            "deferred count differs from a recount over the ROB"
+        );
+        self.rs.debug_check();
 
         self.collect_completions(now);
         self.retire(now, ctx);
@@ -434,7 +445,7 @@ impl Core {
         }
         // Phase 3 (issue): any ready candidate may issue — or, under a
         // defense, accrue per-cycle issue-stall counters — so tick.
-        if self.rs.iter().any(|e| !e.issued && e.ready()) {
+        if !self.rs.ready().is_empty() {
             return None;
         }
         // Phase 4 (LSU): non-delayed pending loads retry (and may count
@@ -450,11 +461,7 @@ impl Core {
         // Phase 7 (safe promotion) acts iff a deferred load is safe now.
         // Safety can only change through events (which bound the skip), so
         // checking once covers the whole window.
-        if self
-            .rob
-            .iter()
-            .any(|e| e.delayed || e.pending_safe_action.is_some())
-        {
+        if self.deferred > 0 {
             let view = self.rob.safety_view();
             for (pos, e) in self.rob.iter().enumerate() {
                 let actionable =
@@ -584,6 +591,9 @@ impl Core {
                 return; // squash first (later this cycle), retire next cycle
             }
             let mut entry = self.rob.pop_head().expect("head exists");
+            if entry.deferred() {
+                self.deferred -= 1;
+            }
             // Apply any deferred cache action that never found an earlier
             // safe point (at the head everything is safe).
             if let Some(action) = entry.pending_safe_action.take() {
@@ -646,19 +656,17 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn issue(&mut self, now: u64, view: &SafetyView) {
+        if self.rs.ready().is_empty() {
+            return;
+        }
+        // Issuing removes entries from the ready list, so walk a copy.
         let mut candidates = std::mem::take(&mut self.issue_scratch);
         candidates.clear();
-        candidates.extend(
-            self.rs
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.issued && e.ready())
-                .map(|(idx, e)| (e.seq, idx)),
-        );
-        candidates.sort_unstable_by_key(|&(seq, _)| seq);
+        candidates.extend_from_slice(self.rs.ready());
         let strict_age = self.scheme.strict_age_priority();
-        let mut issued_any = false;
-        for &(seq, idx) in &candidates {
+        // Under §5.4 rule 1 issued entries keep their slots until retire.
+        let hold = self.scheme.holds_resources_until_safe();
+        for &(seq, slot) in &candidates {
             let Some(pos) = self.rob.position(seq) else {
                 continue;
             };
@@ -669,7 +677,7 @@ impl Core {
                 self.stats.defense_issue_stalls += 1;
                 continue;
             }
-            let class = self.rs.get(idx).fu;
+            let class = self.rs.get(slot).fu;
             let timing = self.config.fu.timing(class);
             if strict_age && !timing.pipelined && self.rs.older_unissued_for(class, seq) {
                 continue; // §5.4 rule 2: reserve the unit for the older op
@@ -680,7 +688,7 @@ impl Core {
             };
             let mut operands = [0u64; 2];
             let mut n_operands = 0;
-            for o in &self.rs.get(idx).operands {
+            for o in &self.rs.get(slot).operands {
                 operands[n_operands] = o.value().expect("candidate is ready");
                 n_operands += 1;
             }
@@ -691,14 +699,9 @@ impl Core {
             let entry = self.rob.at_mut(pos);
             entry.state = EntryState::Issued;
             entry.issued_at = Some(now);
-            self.rs.mark_issued(idx);
-            issued_any = true;
+            self.rs.issue(slot, hold);
             self.stats.issued += 1;
             self.trace.record(now, TraceEvent::Issue { seq, port });
-        }
-        // Under §5.4 rule 1 issued entries keep their slots until retire.
-        if issued_any && !self.scheme.holds_resources_until_safe() {
-            self.rs.drop_issued();
         }
         self.issue_scratch = candidates;
     }
@@ -813,6 +816,7 @@ impl Core {
             } => self.access_invisible(now, ctx, seq, addr, level, on_safe, latency_override),
             LoadPlan::Delay => {
                 self.rob.at_mut(pos).delayed = true;
+                self.deferred += 1;
                 self.stats.delayed_loads += 1;
                 self.trace
                     .record(now, TraceEvent::LoadDelayed { seq, addr });
@@ -953,6 +957,7 @@ impl Core {
         });
         let entry = self.rob.get_mut(seq).expect("exists");
         entry.pending_safe_action = on_safe;
+        self.deferred += usize::from(on_safe.is_some());
         self.stats.invisible_loads += 1;
         self.trace.record(
             now,
@@ -1041,6 +1046,7 @@ impl Core {
         let (branch_seq, target, branch_dispatched_at) =
             (entry.seq, entry.actual_next, entry.dispatched_at);
         let removed = self.rob.squash_after(branch_seq);
+        self.deferred -= removed.iter().filter(|e| e.deferred()).count();
         // Checkpoints younger than the branch belong to squashed branches;
         // the branch's own is spent, since a branch squashes at most once.
         let at = self
@@ -1104,27 +1110,27 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn promote_safe(&mut self, now: u64, ctx: &mut TickCtx<'_>) {
-        if !self
-            .rob
-            .iter()
-            .any(|e| e.delayed || e.pending_safe_action.is_some())
-        {
+        if self.deferred == 0 {
             return; // nothing deferred: skip the summary entirely
         }
         let view = self.rob.safety_view();
         for pos in 0..self.rob.len() {
             let entry = self.rob.at_mut(pos);
-            if !(entry.delayed || entry.pending_safe_action.is_some())
-                || !self.scheme.is_safe(&view, pos)
-            {
+            if !entry.deferred() || !self.scheme.is_safe(&view, pos) {
                 continue;
             }
             entry.delayed = false; // re-issues visibly next LSU pass
-            if entry.state == EntryState::Done {
-                if let Some(action) = entry.pending_safe_action.take() {
-                    let addr = entry.addr;
-                    self.apply_safe_action(now, ctx, addr, action);
-                }
+            let action = if entry.state == EntryState::Done {
+                entry.pending_safe_action.take()
+            } else {
+                None
+            };
+            let addr = entry.addr;
+            if !entry.deferred() {
+                self.deferred -= 1;
+            }
+            if let Some(action) = action {
+                self.apply_safe_action(now, ctx, addr, action);
             }
         }
     }
@@ -1197,8 +1203,8 @@ impl Core {
                 let operands = fetched
                     .instr
                     .reads()
-                    .into_iter()
-                    .map(|r| self.resolve_operand(r))
+                    .iter()
+                    .map(|&r| self.resolve_operand(r))
                     .collect();
                 self.rs.insert(RsEntry {
                     seq,

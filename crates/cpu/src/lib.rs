@@ -41,7 +41,6 @@ mod core;
 mod exec;
 mod frontend;
 mod machine;
-mod memory;
 mod predictor;
 mod preset;
 mod rob;
@@ -59,7 +58,6 @@ pub use core::{Core, TickCtx};
 pub use exec::{ExecPayload, ExecUnits, InFlight};
 pub use frontend::{FetchOutcome, FetchedInstr, Frontend};
 pub use machine::{AgentOp, AgentTiming, Machine, Timeout};
-pub use memory::Memory;
 pub use predictor::{BranchPredictor, Prediction, Predictor, PredictorKind};
 pub use preset::{GeometryPreset, NoisePreset, PredictorPreset};
 pub use rob::{fresh_rat, EntryState, Rat, RegTag, Rob, RobEntry};
@@ -67,6 +65,7 @@ pub use rs::{Operand, OperandList, ReservationStation, RsEntry};
 pub use scheme::{
     LoadPlan, SafeAction, SafetyFlags, SafetyView, SpeculationScheme, Unprotected, UnsafeLoadCtx,
 };
+pub use si_isa::Memory;
 pub use stats::CoreStats;
 pub use tage::TagePredictor;
 pub use trace::{StallReason, Trace, TraceEvent};

@@ -7,11 +7,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use si_cache::{AccessClass, AccessResult, Hierarchy, LlcEvent, Visibility, WayView, LINE_BYTES};
-use si_isa::Program;
+use si_isa::{Memory, Program};
 
 use crate::config::MachineConfig;
 use crate::core::{Core, QuietPlan, TickCtx};
-use crate::memory::Memory;
 use crate::scheme::{SpeculationScheme, Unprotected};
 
 /// An attacker/receiver memory operation.

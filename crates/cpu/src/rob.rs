@@ -119,6 +119,12 @@ impl RobEntry {
         matches!(self.instr.opcode, Opcode::Store | Opcode::Flush)
     }
 
+    /// Whether a cache action waits on this entry becoming safe: a load
+    /// parked by a `Delay` plan, or an invisible load's deferred action.
+    pub(crate) fn deferred(&self) -> bool {
+        self.delayed || self.pending_safe_action.is_some()
+    }
+
     /// The facts the shadow models read off this entry. Each flag, once
     /// clear, stays clear for as long as the entry is in flight: branches
     /// only resolve, loads and stores only complete, and a fence keeps its

@@ -208,15 +208,15 @@ impl Instruction {
     /// Reads of the hardwired-zero register are included (the rename stage
     /// short-circuits them, but dependence analysis is simpler when the
     /// operand shape is uniform).
-    pub fn reads(&self) -> Vec<Reg> {
-        match self.opcode {
+    pub fn reads(&self) -> RegList {
+        let (regs, len) = match self.opcode {
             Opcode::Nop
             | Opcode::MovImm
             | Opcode::Jump
             | Opcode::Fence
             | Opcode::Rdtsc
-            | Opcode::Halt => vec![],
-            Opcode::Sqrt | Opcode::AddImm | Opcode::Load | Opcode::Flush => vec![self.src1],
+            | Opcode::Halt => ([R0, R0], 0),
+            Opcode::Sqrt | Opcode::AddImm | Opcode::Load | Opcode::Flush => ([self.src1, R0], 1),
             Opcode::Add
             | Opcode::Sub
             | Opcode::And
@@ -227,8 +227,9 @@ impl Instruction {
             | Opcode::Mul
             | Opcode::Div
             | Opcode::Store
-            | Opcode::Branch => vec![self.src1, self.src2],
-        }
+            | Opcode::Branch => ([self.src1, self.src2], 2),
+        };
+        RegList { regs, len }
     }
 
     /// Returns the register this instruction writes, if any.
@@ -267,6 +268,22 @@ impl Instruction {
             Opcode::Branch => vec![pc + INSTR_BYTES, self.imm as u64],
             _ => vec![pc + INSTR_BYTES],
         }
+    }
+}
+
+/// The source registers of one instruction (at most two), held inline so
+/// reading them allocates nothing. Derefs to a slice in operand order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegList {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for RegList {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
     }
 }
 
@@ -315,14 +332,14 @@ mod tests {
 
     #[test]
     fn reads_and_writes_cover_operand_shapes() {
-        assert_eq!(Instruction::add(R3, R1, R2).reads(), vec![R1, R2]);
+        assert_eq!(*Instruction::add(R3, R1, R2).reads(), [R1, R2]);
         assert_eq!(Instruction::add(R3, R1, R2).writes(), Some(R3));
-        assert_eq!(Instruction::load(R3, R1, 8).reads(), vec![R1]);
-        assert_eq!(Instruction::store(R2, R1, 8).reads(), vec![R1, R2]);
+        assert_eq!(*Instruction::load(R3, R1, 8).reads(), [R1]);
+        assert_eq!(*Instruction::store(R2, R1, 8).reads(), [R1, R2]);
         assert_eq!(Instruction::store(R2, R1, 8).writes(), None);
-        assert_eq!(Instruction::sqrt(R3, R1).reads(), vec![R1]);
-        assert_eq!(Instruction::mov_imm(R3, 5).reads(), vec![]);
-        assert_eq!(Instruction::halt().reads(), vec![]);
+        assert_eq!(*Instruction::sqrt(R3, R1).reads(), [R1]);
+        assert!(Instruction::mov_imm(R3, 5).reads().is_empty());
+        assert!(Instruction::halt().reads().is_empty());
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! compares executions against `NoSpec(E)`, whose architectural path this
 //! interpreter also defines.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::{Instruction, Opcode, Program, Reg, INSTR_BYTES, NUM_REGS};
+use crate::{Instruction, Memory, Opcode, Program, Reg, INSTR_BYTES, NUM_REGS};
 
 /// Integer square root (floor), the semantics of [`Opcode::Sqrt`].
 pub fn isqrt(v: u64) -> u64 {
@@ -101,7 +100,7 @@ pub struct ExecEvent {
 pub struct Interpreter {
     program: Program,
     regs: [u64; NUM_REGS],
-    mem: HashMap<u64, u8>,
+    mem: Memory,
     pc: u64,
     halted: bool,
     retired: u64,
@@ -110,10 +109,8 @@ pub struct Interpreter {
 impl Interpreter {
     /// Creates an interpreter over a program, loading its initial data.
     pub fn new(program: &Program) -> Interpreter {
-        let mut mem = HashMap::new();
-        for (a, b) in program.data() {
-            mem.insert(a, b);
-        }
+        let mut mem = Memory::new();
+        mem.load_program_data(program);
         Interpreter {
             pc: program.entry(),
             program: program.clone(),
@@ -142,18 +139,12 @@ impl Interpreter {
 
     /// Reads a 64-bit little-endian word from memory (absent bytes read 0).
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = *self.mem.get(&(addr + i as u64)).unwrap_or(&0);
-        }
-        u64::from_le_bytes(bytes)
+        self.mem.read_u64(addr)
     }
 
     /// Writes a 64-bit little-endian word to memory.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.mem.insert(addr + i as u64, *b);
-        }
+        self.mem.write_u64(addr, value);
     }
 
     /// Current program counter.
@@ -298,9 +289,7 @@ impl Interpreter {
     /// deterministic functional-state export trace replay injects into a
     /// detailed machine at a sampled interval's start.
     pub fn mem_snapshot(&self) -> Vec<(u64, u8)> {
-        let mut bytes: Vec<(u64, u8)> = self.mem.iter().map(|(a, b)| (*a, *b)).collect();
-        bytes.sort_unstable();
-        bytes
+        self.mem.snapshot()
     }
 
     fn execute(&mut self, instr: &Instruction) -> u64 {

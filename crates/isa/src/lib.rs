@@ -35,6 +35,7 @@ mod asm;
 mod encode;
 mod instruction;
 mod interp;
+mod memory;
 mod opcode;
 mod program;
 mod reg;
@@ -42,8 +43,9 @@ mod secret;
 
 pub use asm::{AsmError, Assembler, Label};
 pub use encode::{decode, encode, EncodeError};
-pub use instruction::Instruction;
+pub use instruction::{Instruction, RegList};
 pub use interp::{isqrt, ExecEvent, InterpError, Interpreter, MemAccess, StepOutcome};
+pub use memory::Memory;
 pub use opcode::{BranchCond, FuClass, Opcode};
 pub use program::{Program, ProgramBuilder};
 pub use reg::{

@@ -350,3 +350,61 @@ fn nested_mispredicts_restore_the_rat_inner_first() {
     }
     assert_eq!((m.core(0).reg(R6), m.core(0).reg(R3)), (105, 10));
 }
+
+/// Runs `program` on the core and on the reference interpreter and checks
+/// that every register and every written memory byte agree.
+fn assert_matches_interpreter(program: &Program) -> Machine {
+    use speculative_interference::isa::{Interpreter, Reg};
+    let mut m = Machine::new(MachineConfig::default());
+    m.load_program_with_scheme(0, program, SchemeKind::Unprotected.build());
+    m.core_mut(0).set_trace_enabled(true);
+    m.run_core_to_halt(0, 1_000_000).expect("halts");
+    let mut reference = Interpreter::new(program);
+    reference.run(100_000).expect("reference halts");
+    for i in 1..32 {
+        let r = Reg::new(i).unwrap();
+        assert_eq!(m.core(0).reg(r), reference.reg(r), "r{i}");
+    }
+    assert_eq!(m.memory().snapshot(), reference.mem_snapshot());
+    m
+}
+
+#[test]
+fn word_accesses_at_the_top_of_the_address_space_wrap() {
+    let mut asm = Assembler::new(0);
+    asm.mov_imm(R1, -4);
+    asm.mov_imm(R2, 0x5566_7788);
+    asm.store(R2, R1, 0); // bytes u64::MAX - 3 ..= u64::MAX, then 0 ..= 3
+    asm.load(R3, R1, 0);
+    asm.load(R4, R0_, 0); // the word's high half, at address 0
+    asm.halt();
+    let m = assert_matches_interpreter(&asm.assemble().unwrap());
+    assert_eq!(m.core(0).reg(R3), 0x5566_7788);
+    assert_eq!(m.memory().read_u8(u64::MAX), 0x55);
+}
+
+#[test]
+fn a_wrong_path_load_at_the_top_of_the_address_space_is_harmless() {
+    use speculative_interference::cpu::TraceEvent;
+    let mut asm = Assembler::new(0);
+    let skip = asm.label("skip");
+    asm.mov_imm(R1, 0x8000);
+    asm.load(R2, R1, 0); // cold miss: the branch resolves late
+    asm.branch_eq(R2, R0_, skip); // taken, predicted not-taken
+    asm.mov_imm(R3, -4); // wrong path from here on
+    asm.load(R4, R3, 0);
+    asm.bind(skip);
+    asm.mov_imm(R5, 1);
+    asm.halt();
+    let m = assert_matches_interpreter(&asm.assemble().unwrap());
+    let top = 4u64.wrapping_neg();
+    assert!(
+        m.core(0)
+            .trace()
+            .events()
+            .iter()
+            .any(|(_, e)| matches!(e, TraceEvent::LoadAccess { addr, .. } if *addr == top)),
+        "the wrong-path load executed"
+    );
+    assert_eq!(m.core(0).reg(R4), 0, "and was squashed");
+}

@@ -123,9 +123,9 @@ impl Engine {
 
     /// An engine backed by the packed on-disk unit store under `dir`,
     /// keyed under `code_epoch` (see the crate docs for the invalidation
-    /// rule). Opening reads every pack segment once — and imports any
-    /// legacy one-file-per-unit entries — so lookups during runs are
-    /// pure in-memory.
+    /// rule). Opening reads every pack segment once (loose `.unit` files
+    /// of the retired one-file-per-unit layout are ignored: their units
+    /// miss and recompute), so lookups during runs are pure in-memory.
     pub fn with_cache(
         threads: usize,
         code_epoch: u64,

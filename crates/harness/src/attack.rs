@@ -61,7 +61,7 @@ pub const ATTACK_GRID_NAMES: [&str; 4] = ["headline", "geometry", "noise", "full
 /// Unlike sweep grids, `schemes` may include
 /// [`SchemeKind::Unprotected`] — the baseline's leak is itself a
 /// result (the channel the defenses were built to close).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackGrid {
     /// The grid's name (recorded in the output envelope).
     pub name: String,
@@ -235,9 +235,10 @@ impl AttackGrid {
         rows
     }
 
-    /// Number of bit-trial units the grid flattens into.
-    pub fn unit_count(&self) -> usize {
-        self.rows().len() * self.schemes.len() * self.trials.max(1)
+    /// Number of bit-trial units the grid flattens into; `None` when
+    /// that overflows `usize`.
+    pub fn unit_count(&self) -> Option<usize> {
+        (self.rows().len() * self.schemes.len()).checked_mul(self.trials.max(1))
     }
 }
 
@@ -452,7 +453,7 @@ mod tests {
     fn every_named_grid_resolves_and_counts_units() {
         for name in ATTACK_GRID_NAMES {
             let grid = AttackGrid::named(name).expect(name);
-            assert!(grid.unit_count() > 0, "{name}");
+            assert!(grid.unit_count() > Some(0), "{name}");
             assert!(!grid.variants.is_empty(), "{name}");
         }
         assert!(AttackGrid::named("nope").is_err());

@@ -21,14 +21,14 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use si_engine::{ArtifactCache, PackStore};
-use si_harness::attack::{run_attack_grid, AttackGrid, ATTACK_GRID_NAMES};
+use si_harness::attack::ATTACK_GRID_NAMES;
+use si_harness::job::{parse_seed, Job, Request, Verb};
 use si_harness::json::{parse, Json};
 use si_harness::render::{render_report, splice_report, REPORT_BEGIN, REPORT_END};
-use si_harness::scan::{run_scan, ScanJob};
-use si_harness::sweep::{run_sweep, GridSpec, GRID_NAMES};
+use si_harness::sweep::GRID_NAMES;
 use si_harness::{
     parse_scheme, registry, run_experiment_engine, Engine, ExecStats, Experiment, RunConfig,
-    CACHE_DEFAULT_DIR, CODE_EPOCH,
+    CACHE_DEFAULT_DIR, CODE_EPOCH, DEFAULT_SEED,
 };
 
 const USAGE: &str = "\
@@ -160,16 +160,6 @@ TRACE OPTIONS (see docs/TRACE_FORMAT.md for the .sit wire format):
                                  fixture (default traces/example.sit)
 ";
 
-/// Parses a `--seed` value: decimal or `0x`-prefixed hex. Shared by
-/// `run` and `sweep` so the accepted syntax can never diverge.
-fn parse_seed(text: &str) -> Result<u64, String> {
-    match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    }
-    .map_err(|e| format!("--seed: {e}"))
-}
-
 /// Parses a `--threads` value — the one thread policy every verb shares:
 /// `0` (like an absent flag) means all available cores, anything else is
 /// the worker count (the scheduler clamps to the unit count downstream).
@@ -217,6 +207,40 @@ impl CacheArgs {
             Engine::new(threads)
         }
     }
+}
+
+/// Writes `bytes` to `path`, creating its parent directory first.
+fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+    {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
+}
+
+/// Writes one result document to `path`: stamps `wall_time_ms` unless
+/// `--no-wall-time`, re-parses the text first (a malformed document is a
+/// harness bug and must fail the run, not poison downstream consumers),
+/// and echoes it with `--print`.
+fn emit_doc(
+    envelope: &mut Json,
+    wall_ms: u128,
+    wall_time: bool,
+    print: bool,
+    path: &str,
+) -> Result<(), String> {
+    if wall_time {
+        envelope.push("wall_time_ms", Json::from(wall_ms as u64));
+    }
+    let text = envelope.to_pretty();
+    parse(&text).map_err(|e| format!("emitted malformed JSON: {e}"))?;
+    write_file(path, text.as_bytes())?;
+    if print {
+        print!("{text}");
+    }
+    Ok(())
 }
 
 /// Formats the engine's executed/cached split for a status line.
@@ -334,20 +358,8 @@ fn run_one(exp: &dyn Experiment, args: &Args, engine: &Engine) -> Result<ExecSta
     let (outcome, stats) = run_experiment_engine(exp, &args.cfg, engine);
     let mut envelope = outcome?;
     let wall_ms = start.elapsed().as_millis();
-    if args.wall_time {
-        envelope.push("wall_time_ms", Json::from(wall_ms as u64));
-    }
-    let text = envelope.to_pretty();
-    // Validate before writing: a malformed document is a harness bug and
-    // must fail the run, not poison downstream consumers.
-    parse(&text).map_err(|e| format!("emitted malformed JSON: {e}"))?;
     let path = format!("{}/{}.json", args.out_dir, exp.id());
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| format!("creating {}: {e}", args.out_dir))?;
-    std::fs::write(&path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-    if args.print {
-        print!("{text}");
-    }
+    emit_doc(&mut envelope, wall_ms, args.wall_time, args.print, &path)?;
     println!(
         "{:<16} {}  {:>7}ms  {}  -> {}",
         exp.id(),
@@ -409,48 +421,15 @@ fn cmd_run(args: &Args) -> ExitCode {
     }
 }
 
-/// Options shared by the grid-shaped verbs (`sweep`, `attack`).
-struct GridArgs {
-    grid_name: String,
-    filters: Vec<String>,
-    quick: bool,
-    scale: Option<usize>,
-    trials: Option<usize>,
-    threads: usize,
-    seed: u64,
-    cache: CacheArgs,
-    out: Option<String>,
-    print: bool,
-    wall_time: bool,
-    no_checkpoint: bool,
-    no_artifact_cache: bool,
-}
-
-/// Parses the sweep/attack option set. `verb` labels errors;
-/// `allow_scale` gates the sweep-only `--scale` knob.
-fn parse_grid_args(
-    argv: &[String],
-    verb: &str,
-    default_grid: &str,
-    allow_scale: bool,
-) -> Result<GridArgs, String> {
-    let mut args = GridArgs {
-        grid_name: default_grid.to_owned(),
-        filters: Vec::new(),
-        quick: false,
-        scale: None,
-        trials: None,
-        threads: default_threads(),
-        seed: RunConfig::default().seed,
-        cache: CacheArgs::default(),
-        out: None,
-        print: false,
-        wall_time: true,
-        no_checkpoint: false,
-        no_artifact_cache: false,
-    };
-    let attack_verb = verb == "attack";
-    let sweep_verb = verb == "sweep";
+/// `sia sweep|attack|scan` — builds the job through `si_harness::job`
+/// (the path `sia serve` takes too), runs it, and writes its document
+/// (default `results/<stem>.json`).
+fn cmd_grid(verb: Verb, argv: &[String]) -> Result<ExitCode, String> {
+    let mut request = Request::default();
+    let mut threads = default_threads();
+    let mut cache = CacheArgs::default();
+    let mut out: Option<String> = None;
+    let (mut print, mut wall_time, mut no_artifact_cache) = (false, true, false);
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -458,233 +437,43 @@ fn parse_grid_args(
                 .cloned()
                 .ok_or_else(|| format!("{name} needs a value"))
         };
-        if args.cache.accept(arg, &mut value)? {
+        if cache.accept(arg, &mut value)? || request.accept_flag(arg, &mut value)? {
             continue;
         }
         match arg.as_str() {
-            "--grid" => args.grid_name = value("--grid")?,
-            "--filter" => args.filters.push(value("--filter")?),
-            "--quick" => args.quick = true,
-            "--scale" if allow_scale => {
-                args.scale = Some(
-                    value("--scale")?
-                        .parse()
-                        .map_err(|e| format!("--scale: {e}"))?,
-                );
-            }
-            "--trials" => {
-                args.trials = Some(
-                    value("--trials")?
-                        .parse()
-                        .map_err(|e| format!("--trials: {e}"))?,
-                );
-            }
-            "--no-checkpoint" if attack_verb => args.no_checkpoint = true,
-            "--no-artifact-cache" if sweep_verb => args.no_artifact_cache = true,
-            "--threads" => args.threads = parse_threads(&value("--threads")?)?,
-            "--seed" => args.seed = parse_seed(&value("--seed")?)?,
-            "--out" => args.out = Some(value("--out")?),
-            "--print" => args.print = true,
-            "--no-wall-time" => args.wall_time = false,
-            other => return Err(format!("unknown {verb} option '{other}'")),
+            "--threads" => threads = parse_threads(&value("--threads")?)?,
+            "--out" => out = Some(value("--out")?),
+            "--print" => print = true,
+            "--no-wall-time" => wall_time = false,
+            "--no-artifact-cache" if verb == Verb::Sweep => no_artifact_cache = true,
+            other => return Err(format!("unknown {} option '{other}'", verb.name())),
         }
     }
-    Ok(args)
-}
-
-/// Validates, writes, and announces one grid-verb result document.
-fn emit_grid_doc(
-    verb: &str,
-    grid_name: &str,
-    mut envelope: Json,
-    stats: &ExecStats,
-    wall_ms: u128,
-    args: &GridArgs,
-    path: &str,
-) -> Result<(), String> {
-    if args.wall_time {
-        envelope.push("wall_time_ms", Json::from(wall_ms as u64));
-    }
-    let text = envelope.to_pretty();
-    parse(&text).map_err(|e| format!("emitted malformed JSON: {e}"))?;
-    if let Some(dir) = std::path::Path::new(path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    }
-    std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-    if args.print {
-        print!("{text}");
-    }
+    let job = Job::build(verb, &request)?;
+    let path = out.unwrap_or_else(|| format!("results/{}.json", job.stem()));
+    // The artifact cache only changes wall-clock time, never results
+    // (a CI job diffs cached vs uncached sweeps to prove it).
+    ArtifactCache::global().set_enabled(!no_artifact_cache);
+    let start = Instant::now();
+    let (mut envelope, stats) = job.run(&cache.engine(threads))?;
+    let wall_ms = start.elapsed().as_millis();
+    emit_doc(&mut envelope, wall_ms, wall_time, print, &path)?;
     println!(
-        "{verb}:{:<10} ok  {:>7}ms  {}  {}  -> {}",
-        grid_name,
+        "{}:{:<10} ok  {:>7}ms  {}  {}  -> {}",
+        verb.name(),
+        job.name(),
         wall_ms,
-        stats_note(stats),
+        stats_note(&stats),
         summary_line(&envelope),
         path
     );
-    Ok(())
-}
-
-fn cmd_sweep(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_grid_args(argv, "sweep", "defense", true)?;
-    let mut grid = GridSpec::named(&args.grid_name)?;
-    if args.quick {
-        grid.quick();
-    }
-    for f in &args.filters {
-        grid.apply_filter(f)?;
-    }
-    if let Some(s) = args.scale {
-        grid.scale = s;
-    }
-    if let Some(t) = args.trials {
-        grid.trials = t;
-    }
-    let path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("results/sweep-{}.json", args.grid_name));
-    // The artifact cache only changes wall-clock time, never results
-    // (a CI job diffs cached vs uncached sweeps to prove it).
-    ArtifactCache::global().set_enabled(!args.no_artifact_cache);
-    let start = Instant::now();
-    let (envelope, stats) = run_sweep(&grid, args.seed, &args.cache.engine(args.threads))?;
-    emit_grid_doc(
-        "sweep",
-        &args.grid_name,
-        envelope,
-        &stats,
-        start.elapsed().as_millis(),
-        &args,
-        &path,
-    )?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_attack(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_grid_args(argv, "attack", "headline", false)?;
-    let mut grid = AttackGrid::named(&args.grid_name)?;
-    if args.quick {
-        grid.quick();
-    }
-    for f in &args.filters {
-        grid.apply_filter(f)?;
-    }
-    if let Some(t) = args.trials {
-        grid.trials = t;
-    }
-    grid.disable_checkpoint = args.no_checkpoint;
-    let path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("results/attack-{}.json", args.grid_name));
-    let start = Instant::now();
-    let (envelope, stats) = run_attack_grid(&grid, args.seed, &args.cache.engine(args.threads))?;
-    emit_grid_doc(
-        "attack",
-        &args.grid_name,
-        envelope,
-        &stats,
-        start.elapsed().as_millis(),
-        &args,
-        &path,
-    )?;
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `sia scan` — static gadget scan over the committed corpus plus
-/// engine-backed dynamic confirmation of every confirmable finding class.
-fn cmd_scan(argv: &[String]) -> Result<ExitCode, String> {
-    let mut job = ScanJob::standard();
-    let mut quick = false;
-    let mut trials: Option<usize> = None;
-    let mut horizon: Option<usize> = None;
-    // Only the shared emit/engine knobs of GridArgs apply to scan; the
-    // grid-shaped fields stay at their defaults.
-    let mut args = GridArgs {
-        grid_name: "corpus".to_owned(),
-        filters: Vec::new(),
-        quick: false,
-        scale: None,
-        trials: None,
-        threads: default_threads(),
-        seed: RunConfig::default().seed,
-        cache: CacheArgs::default(),
-        out: None,
-        print: false,
-        wall_time: true,
-        no_checkpoint: false,
-        no_artifact_cache: false,
-    };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        if args.cache.accept(arg, &mut value)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--trials" => {
-                trials = Some(
-                    value("--trials")?
-                        .parse()
-                        .map_err(|e| format!("--trials: {e}"))?,
-                );
-            }
-            "--horizon" => {
-                let n: usize = value("--horizon")?
-                    .parse()
-                    .map_err(|e| format!("--horizon: {e}"))?;
-                if n == 0 {
-                    return Err("--horizon needs a window depth of at least 1".into());
-                }
-                horizon = Some(n);
-            }
-            "--threads" => args.threads = parse_threads(&value("--threads")?)?,
-            "--seed" => args.seed = parse_seed(&value("--seed")?)?,
-            "--out" => args.out = Some(value("--out")?),
-            "--print" => args.print = true,
-            "--no-wall-time" => args.wall_time = false,
-            other => return Err(format!("unknown scan option '{other}'")),
-        }
-    }
-    if quick {
-        job.quick();
-    }
-    if let Some(t) = trials {
-        job.trials = t;
-    }
-    if let Some(h) = horizon {
-        job.horizon = h;
-    }
-    let path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "results/scan-corpus.json".to_owned());
-    let start = Instant::now();
-    let (envelope, stats) = run_scan(&job, args.seed, &args.cache.engine(args.threads))?;
-    emit_grid_doc(
-        "scan",
-        "corpus",
-        envelope,
-        &stats,
-        start.elapsed().as_millis(),
-        &args,
-        &path,
-    )?;
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `sia cache stats|clear` — inspects or empties the packed unit store
-/// (opening migrates any legacy one-file-per-unit entries into pack
-/// segments first, so the numbers cover everything).
+/// `sia cache stats|clear` — inspects or empties the packed unit store.
+/// `stats` counts pack-segment entries only (loose `.unit` files of the
+/// retired one-file-per-unit layout are ignored); `clear` removes those
+/// files too.
 fn cmd_cache(argv: &[String]) -> Result<ExitCode, String> {
     let mut action: Option<String> = None;
     let mut dir = CACHE_DEFAULT_DIR.to_owned();
@@ -724,7 +513,7 @@ fn cmd_cache(argv: &[String]) -> Result<ExitCode, String> {
 fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
     let mut addr = "127.0.0.1:8787".to_owned();
     let mut threads = default_threads();
-    let mut seed = RunConfig::default().seed;
+    let mut seed = DEFAULT_SEED;
     let mut dir = CACHE_DEFAULT_DIR.to_owned();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -886,16 +675,6 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
     use si_trace::{RecordConfig, TraceFile};
     use si_workloads::WorkloadKind;
 
-    fn write_trace(path: &str, bytes: &[u8]) -> Result<(), String> {
-        if let Some(dir) = std::path::Path::new(path)
-            .parent()
-            .filter(|d| !d.as_os_str().is_empty())
-        {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
-    }
-
     fn load_trace(path: &str) -> Result<(TraceFile, u64), String> {
         let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
         let trace = TraceFile::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -977,7 +756,7 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
             let trace =
                 si_trace::record(&kind.program(scale, seed), &cfg).map_err(|e| e.to_string())?;
             let bytes = trace.encode();
-            write_trace(&path, &bytes)?;
+            write_file(&path, &bytes)?;
             let digest = TraceFile::content_digest(&bytes);
             println!(
                 "trace:record     ok  {:>7}ms  {} bytes  {}  -> {}",
@@ -1004,7 +783,7 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
             }
             let trace = si_trace::example_trace();
             let bytes = trace.encode();
-            write_trace(&out, &bytes)?;
+            write_file(&out, &bytes)?;
             println!(
                 "trace:example    ok  {} bytes  {}  -> {}",
                 bytes.len(),
@@ -1089,50 +868,25 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("trace") => cmd_trace(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("sweep") => cmd_sweep(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("attack") => cmd_attack(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("scan") => cmd_scan(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("serve") => cmd_serve(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("cache") => cmd_cache(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("report") => cmd_report(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("run") => match parse_args(&argv[1..]) {
-            Ok(args) => cmd_run(&args),
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
+    let rest = argv.get(1..).unwrap_or_default();
+    let outcome = match argv.first().map(String::as_str) {
+        Some("list") => Ok(cmd_list()),
+        Some("run") => parse_args(rest).map(|args| cmd_run(&args)),
+        Some("sweep") => cmd_grid(Verb::Sweep, rest),
+        Some("attack") => cmd_grid(Verb::Attack, rest),
+        Some("scan") => cmd_grid(Verb::Scan, rest),
+        Some("serve") => cmd_serve(rest),
+        Some("cache") => cmd_cache(rest),
+        Some("report") => cmd_report(rest),
+        Some("trace") => cmd_trace(rest),
         Some("-h" | "--help" | "help") | None => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(other) => {
-            eprintln!("error: unknown command '{other}'\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+        Some(other) => Err(format!("unknown command '{other}'")),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{USAGE}");
+        ExitCode::FAILURE
+    })
 }

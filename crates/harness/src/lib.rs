@@ -54,6 +54,7 @@
 pub mod attack;
 pub mod exec;
 pub mod experiments;
+pub mod job;
 pub mod json;
 pub mod render;
 pub mod report;
@@ -84,6 +85,9 @@ pub use si_engine::{Engine, ExecStats, UnitSpec};
 /// report drift gates.
 pub const CODE_EPOCH: u64 = 1;
 
+/// The base seed when none is given (`--seed` and `"seed"` default).
+pub const DEFAULT_SEED: u64 = 0x51A0_2021;
+
 /// The on-disk location of the unit cache (`--cache` default).
 pub const CACHE_DEFAULT_DIR: &str = "results/.cache";
 
@@ -110,7 +114,7 @@ impl Default for RunConfig {
         RunConfig {
             trials: None,
             threads: std::thread::available_parallelism().map_or(1, usize::from),
-            seed: 0x51A0_2021,
+            seed: DEFAULT_SEED,
             scheme: None,
         }
     }

@@ -51,7 +51,7 @@ use crate::json::{arr, obj, DocKind, Json, SCHEMA_VERSION};
 use crate::scheme_slug;
 
 /// A scan job: the static horizon plus the confirm-stage shape.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanJob {
     /// Speculative-window horizon in instructions.
     pub horizon: usize,
@@ -80,6 +80,21 @@ impl ScanJob {
     /// Shrinks the job for CI smoke runs: six trials per confirm cell.
     pub fn quick(&mut self) {
         self.trials = 6;
+    }
+
+    /// Number of confirm bit-trial units the job flattens into; `None`
+    /// when that overflows `usize`. Runs the (cheap) static scan to count
+    /// the confirm cells.
+    pub fn unit_count(&self) -> Option<usize> {
+        let config = ScanConfig {
+            horizon: self.horizon,
+        };
+        let classes: usize = corpus()
+            .iter()
+            .filter(|e| e.scaffold.is_some())
+            .map(|e| confirm_classes(&si_scan::scan(&e.program, &e.secrets, &config)).len())
+            .sum();
+        (classes * self.schemes.len()).checked_mul(self.trials.max(1))
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! The daemon binds an [`si_http::Server`], opens the packed unit store
 //! **once**, and compiles every POSTed grid spec onto the same
-//! [`Engine`] unit stream the offline verbs use — so a served document
+//! [`Engine`] unit stream the offline verbs use. A body is translated
+//! into a [`crate::job::Request`] and built by [`Job::build`], the same
+//! code `sia sweep|attack|scan` go through — so a served document
 //! is byte-identical to `sia sweep/attack/scan --no-wall-time` output by
 //! construction, and every request after the first warms the shared
 //! store. Concurrent clients posting overlapping grids deduplicate
@@ -37,17 +39,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
-use si_http::{Request, Responder, Server};
+use si_http::{Request as HttpRequest, Responder, Server};
 
-use crate::attack::{run_attack_grid, AttackGrid};
+use crate::job::{Job, Request, Verb};
 use crate::json::{obj, parse, Json, SCHEMA_VERSION};
 use crate::render::render_doc;
-use crate::scan::{run_scan, ScanJob};
-use crate::sweep::{run_sweep, GridSpec};
 use crate::{Engine, ExecStats};
 
 /// The endpoint table served on `GET /`.
-const ENDPOINTS: &str = "\
+pub(crate) const ENDPOINTS: &str = "\
 sia serve — speculative-interference grid daemon
 
 ENDPOINTS:
@@ -70,33 +70,6 @@ struct ServeState {
     /// Seed used when a request body does not carry one (the CLI
     /// default, so bodiless POSTs match bare offline invocations).
     default_seed: u64,
-}
-
-/// A compiled grid job: the validated spec plus the output stem the
-/// offline verb would have written (`sweep-defense`, `scan-corpus`, …),
-/// which anchors the markdown rendering.
-enum Job {
-    Sweep { grid: GridSpec, seed: u64 },
-    Attack { grid: AttackGrid, seed: u64 },
-    Scan { job: ScanJob, seed: u64 },
-}
-
-impl Job {
-    fn stem(&self) -> String {
-        match self {
-            Job::Sweep { grid, .. } => format!("sweep-{}", grid.name),
-            Job::Attack { grid, .. } => format!("attack-{}", grid.name),
-            Job::Scan { .. } => "scan-corpus".to_owned(),
-        }
-    }
-
-    fn run(&self, engine: &Engine) -> Result<(Json, ExecStats), String> {
-        match self {
-            Job::Sweep { grid, seed } => run_sweep(grid, *seed, engine),
-            Job::Attack { grid, seed } => run_attack_grid(grid, *seed, engine),
-            Job::Scan { job, seed } => run_scan(job, *seed, engine),
-        }
-    }
 }
 
 /// A running daemon: the bound address, the shutdown flag (set it from a
@@ -152,7 +125,7 @@ pub fn start(addr: &str, engine: Engine, default_seed: u64) -> Result<ServeHandl
 }
 
 /// Routes one request.
-fn handle(state: &ServeState, req: &Request, resp: &mut Responder) {
+fn handle(state: &ServeState, req: &HttpRequest, resp: &mut Responder) {
     let method = req.method.as_str();
     match req.path.as_str() {
         "/healthz" => match method {
@@ -167,15 +140,15 @@ fn handle(state: &ServeState, req: &Request, resp: &mut Responder) {
             "GET" => store_stats(state, resp),
             _ => method_not_allowed(resp, "GET"),
         },
-        "/v1/sweep" | "/v1/attack" | "/v1/scan" => match method {
-            "POST" => grid_endpoint(state, req, resp),
-            _ => method_not_allowed(resp, "POST"),
+        path => match (path.strip_prefix("/v1/").and_then(Verb::parse), method) {
+            (Some(verb), "POST") => grid_endpoint(state, verb, req, resp),
+            (Some(_), _) => method_not_allowed(resp, "POST"),
+            (None, _) => resp.respond(
+                404,
+                "application/json",
+                error_body("no such endpoint (GET / lists them)").as_bytes(),
+            ),
         },
-        _ => resp.respond(
-            404,
-            "application/json",
-            error_body("no such endpoint (GET / lists them)").as_bytes(),
-        ),
     }
 }
 
@@ -227,8 +200,8 @@ fn store_stats(state: &ServeState, resp: &mut Responder) {
 }
 
 /// `POST /v1/{sweep,attack,scan}`.
-fn grid_endpoint(state: &ServeState, req: &Request, resp: &mut Responder) {
-    let job = match parse_job(&req.path, &req.body, state.default_seed) {
+fn grid_endpoint(state: &ServeState, verb: Verb, req: &HttpRequest, resp: &mut Responder) {
+    let job = match parse_job(verb, &req.body, state.default_seed) {
         Ok(job) => job,
         Err(e) => {
             resp.respond(400, "application/json", error_body(&e).as_bytes());
@@ -333,9 +306,10 @@ fn stream_job(
     body.finish();
 }
 
-/// Parses and validates a grid-POST body. Unknown keys are errors —
-/// silently ignoring a typoed `"trails"` would serve the wrong grid.
-fn parse_job(path: &str, body: &[u8], default_seed: u64) -> Result<Job, String> {
+/// Translates a grid-POST body into a [`Request`] and builds its job.
+/// Unknown keys are errors — silently ignoring a typoed `"trails"` would
+/// serve the wrong grid.
+pub(crate) fn parse_job(verb: Verb, body: &[u8], default_seed: u64) -> Result<Job, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
     let spec = if text.trim().is_empty() {
         Json::Obj(Vec::new()) // An empty body runs the default grid.
@@ -345,119 +319,14 @@ fn parse_job(path: &str, body: &[u8], default_seed: u64) -> Result<Job, String> 
     let Json::Obj(pairs) = &spec else {
         return Err("body must be a JSON object".to_owned());
     };
-    let mut grid_name: Option<String> = None;
-    let mut quick = false;
-    let mut filters: Vec<String> = Vec::new();
-    let mut scale: Option<usize> = None;
-    let mut trials: Option<usize> = None;
-    let mut horizon: Option<usize> = None;
-    let mut no_checkpoint = false;
-    let mut seed = default_seed;
-    let (sweep_verb, attack_verb, scan_verb) = (
-        path == "/v1/sweep",
-        path == "/v1/attack",
-        path == "/v1/scan",
-    );
+    let mut request = Request {
+        seed: Some(default_seed),
+        ..Request::default()
+    };
     for (key, value) in pairs {
-        match key.as_str() {
-            "grid" if !scan_verb => grid_name = Some(as_str(key, value)?),
-            "quick" => quick = as_bool(key, value)?,
-            "filters" if !scan_verb => {
-                let Json::Arr(items) = value else {
-                    return Err(format!("'{key}' must be an array of strings"));
-                };
-                for item in items {
-                    filters.push(as_str(key, item)?);
-                }
-            }
-            "scale" if sweep_verb => scale = Some(as_usize(key, value)?),
-            "trials" => trials = Some(as_usize(key, value)?),
-            "horizon" if scan_verb => horizon = Some(as_usize(key, value)?),
-            "no_checkpoint" if attack_verb => no_checkpoint = as_bool(key, value)?,
-            "seed" => seed = as_seed(value)?,
-            other => return Err(format!("unknown key '{other}' for {path}")),
+        if !request.accept_key(key, value)? {
+            return Err(format!("unknown key '{key}' for /v1/{}", verb.name()));
         }
     }
-    if scan_verb {
-        let mut job = ScanJob::standard();
-        if quick {
-            job.quick();
-        }
-        if let Some(t) = trials {
-            job.trials = t;
-        }
-        if let Some(h) = horizon {
-            if h == 0 {
-                return Err("'horizon' needs a window depth of at least 1".to_owned());
-            }
-            job.horizon = h;
-        }
-        return Ok(Job::Scan { job, seed });
-    }
-    if sweep_verb {
-        let mut grid = GridSpec::named(grid_name.as_deref().unwrap_or("defense"))?;
-        if quick {
-            grid.quick();
-        }
-        for f in &filters {
-            grid.apply_filter(f)?;
-        }
-        if let Some(s) = scale {
-            grid.scale = s;
-        }
-        if let Some(t) = trials {
-            grid.trials = t;
-        }
-        return Ok(Job::Sweep { grid, seed });
-    }
-    debug_assert!(attack_verb);
-    let mut grid = AttackGrid::named(grid_name.as_deref().unwrap_or("headline"))?;
-    if quick {
-        grid.quick();
-    }
-    for f in &filters {
-        grid.apply_filter(f)?;
-    }
-    if let Some(t) = trials {
-        grid.trials = t;
-    }
-    grid.disable_checkpoint = no_checkpoint;
-    Ok(Job::Attack { grid, seed })
-}
-
-fn as_str(key: &str, value: &Json) -> Result<String, String> {
-    match value {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err(format!("'{key}' must be a string")),
-    }
-}
-
-fn as_bool(key: &str, value: &Json) -> Result<bool, String> {
-    match value {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("'{key}' must be a boolean")),
-    }
-}
-
-fn as_usize(key: &str, value: &Json) -> Result<usize, String> {
-    match value {
-        Json::U64(n) => Ok(*n as usize),
-        Json::I64(n) if *n >= 0 => Ok(*n as usize),
-        _ => Err(format!("'{key}' must be a non-negative integer")),
-    }
-}
-
-/// A seed: a JSON integer, or a string in the CLI's `--seed` syntax
-/// (decimal or `0x`-hex).
-fn as_seed(value: &Json) -> Result<u64, String> {
-    match value {
-        Json::U64(n) => Ok(*n),
-        Json::I64(n) if *n >= 0 => Ok(*n as u64),
-        Json::Str(s) => match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        }
-        .map_err(|e| format!("'seed': {e}")),
-        _ => Err("'seed' must be an integer or a decimal/0x-hex string".to_owned()),
-    }
+    Job::build(verb, &request)
 }

@@ -59,7 +59,7 @@ pub const GRID_NAMES: [&str; 6] = ["defense", "schemes", "geometry", "noise", "f
 /// The `schemes` axis never contains [`SchemeKind::Unprotected`] — the
 /// baseline is measured for every row regardless, so each cell can
 /// report its slowdown against the matching unprotected run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
     /// The grid's name (recorded in the output envelope).
     pub name: String,
@@ -289,9 +289,10 @@ impl GridSpec {
         rows
     }
 
-    /// Number of trial units the grid flattens into (baseline included).
-    pub fn unit_count(&self) -> usize {
-        self.rows().len() * (self.schemes.len() + 1) * self.trials.max(1)
+    /// Number of trial units the grid flattens into (baseline included);
+    /// `None` when that overflows `usize`.
+    pub fn unit_count(&self) -> Option<usize> {
+        (self.rows().len() * (self.schemes.len() + 1)).checked_mul(self.trials.max(1))
     }
 }
 
@@ -592,7 +593,7 @@ mod tests {
     fn every_named_grid_resolves_and_counts_units() {
         for name in GRID_NAMES {
             let grid = GridSpec::named(name).expect(name);
-            assert!(grid.unit_count() > 0, "{name}");
+            assert!(grid.unit_count() > Some(0), "{name}");
             assert!(
                 !grid.schemes.contains(&SchemeKind::Unprotected),
                 "{name}: baseline must not be a scheme column"

@@ -12,12 +12,10 @@
 
 use std::sync::atomic::Ordering;
 
-use si_harness::attack::{run_attack_grid, AttackGrid};
+use si_harness::job::{Job, Request, Verb};
 use si_harness::json::{parse, Json};
-use si_harness::scan::{run_scan, ScanJob};
 use si_harness::serve::{start, ServeHandle};
-use si_harness::sweep::{run_sweep, GridSpec};
-use si_harness::{Engine, RunConfig, CODE_EPOCH};
+use si_harness::{Engine, CODE_EPOCH, DEFAULT_SEED};
 use si_http::client::{request, ClientResponse, Conn};
 
 /// Starts a daemon on an ephemeral port over a fresh store directory.
@@ -25,7 +23,7 @@ fn daemon(tag: &str) -> (ServeHandle, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("sia-serve-test-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let engine = Engine::with_cache(2, CODE_EPOCH, &dir);
-    let handle = start("127.0.0.1:0", engine, RunConfig::default().seed).expect("daemon starts");
+    let handle = start("127.0.0.1:0", engine, DEFAULT_SEED).expect("daemon starts");
     (handle, dir)
 }
 
@@ -33,14 +31,25 @@ fn daemon(tag: &str) -> (ServeHandle, std::path::PathBuf) {
 /// row of the quick defense grid).
 const SWEEP_BODY: &str = r#"{"quick": true, "filters": ["workload=ptr-chase", "predictor=p1k"]}"#;
 
+/// The offline document of `request` on `verb`: the job `sia
+/// sweep|attack|scan` builds and runs.
+fn offline(verb: Verb, request: Request) -> String {
+    let job = Job::build(verb, &request).expect("job builds");
+    let (doc, _) = job.run(&Engine::new(2)).expect("runs");
+    doc.to_pretty()
+}
+
 /// The offline document the sweep body must reproduce byte-for-byte.
 fn offline_sweep() -> String {
-    let mut grid = GridSpec::named("defense").expect("grid");
-    grid.quick();
-    grid.apply_filter("workload=ptr-chase").expect("filter");
-    grid.apply_filter("predictor=p1k").expect("filter");
-    let (doc, _) = run_sweep(&grid, RunConfig::default().seed, &Engine::new(2)).expect("runs");
-    doc.to_pretty()
+    let filters = ["workload=ptr-chase", "predictor=p1k"];
+    offline(
+        Verb::Sweep,
+        Request {
+            quick: true,
+            filters: Some(filters.map(String::from).to_vec()),
+            ..Request::default()
+        },
+    )
 }
 
 fn header_num(resp: &ClientResponse, name: &str) -> usize {
@@ -92,16 +101,15 @@ fn served_documents_match_offline_output_cold_and_warm() {
     // Attack: shrunk quick grid.
     let attack_body =
         r#"{"quick": true, "filters": ["scheme=invisispec,fence-futuristic"], "trials": 3}"#;
-    let expected_attack = {
-        let mut grid = AttackGrid::named("headline").expect("grid");
-        grid.quick();
-        grid.apply_filter("scheme=invisispec,fence-futuristic")
-            .expect("filter");
-        grid.trials = 3;
-        let (doc, _) =
-            run_attack_grid(&grid, RunConfig::default().seed, &Engine::new(2)).expect("runs");
-        doc.to_pretty()
-    };
+    let expected_attack = offline(
+        Verb::Attack,
+        Request {
+            quick: true,
+            filters: Some(vec!["scheme=invisispec,fence-futuristic".to_owned()]),
+            trials: Some(3),
+            ..Request::default()
+        },
+    );
     let served = request(
         &handle.addr,
         "POST",
@@ -121,15 +129,19 @@ fn served_documents_match_offline_output_cold_and_warm() {
     .expect("warm attack");
     assert_eq!(header_num(&warm, "x-sia-executed"), 0);
 
-    // Scan: quick corpus with shrunk confirm trials.
-    let scan_body = r#"{"quick": true, "trials": 2}"#;
-    let expected_scan = {
-        let mut job = ScanJob::standard();
-        job.quick();
-        job.trials = 2;
-        let (doc, _) = run_scan(&job, RunConfig::default().seed, &Engine::new(2)).expect("runs");
-        doc.to_pretty()
-    };
+    // Scan: quick corpus with shrunk confirm trials, a narrower window
+    // and a hex seed.
+    let scan_body = r#"{"quick": true, "trials": 2, "horizon": 64, "seed": "0x2a"}"#;
+    let expected_scan = offline(
+        Verb::Scan,
+        Request {
+            quick: true,
+            trials: Some(2),
+            horizon: Some(64),
+            seed: Some(42),
+            ..Request::default()
+        },
+    );
     let served =
         request(&handle.addr, "POST", "/v1/scan", &[], scan_body.as_bytes()).expect("scan");
     assert_eq!(served.text(), expected_scan, "served scan != offline");
@@ -294,6 +306,18 @@ fn protocol_errors_are_status_codes_never_panics() {
             .unwrap_or_else(|e| panic!("{body:?}: {e}"));
         assert_eq!(resp.status, 400, "{body:?} must 400, got {}", resp.status);
         assert!(resp.text().contains("error"), "{body:?}: {}", resp.text());
+    }
+    // A trial count past the unit cap is a 400 before anything runs or
+    // allocates, on every grid verb.
+    for path in ["/v1/attack", "/v1/sweep", "/v1/scan"] {
+        let body = br#"{"trials": 9223372036854775808}"#;
+        let resp = request(&addr, "POST", path, &[], body).expect("huge trials");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.text());
+        assert!(
+            resp.text().contains("over the cap"),
+            "{path}: {}",
+            resp.text()
+        );
     }
     // Unknown query format: 400.
     let resp = request(&addr, "POST", "/v1/sweep?format=xml", &[], b"{}").expect("format");
